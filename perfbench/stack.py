@@ -1,0 +1,231 @@
+"""Reference model built only from public ``molfuse.tensor`` ops.
+
+molfuse has no model of its own yet, so the benchmark carries this small
+stack shaped like the paper's: an atom-feature embedding, two multi-head GAT
+layers over the disjoint-union batch graph, one character-token
+self-attention layer (pre-norm, GELU feed-forward), a mean readout over each
+molecule's atoms that then cross-attends to the molecule's tokens
+(graph-to-token), and a linear head.  ``matmul`` is 2-D only, so both
+attentions are segment attentions over within-molecule pairs that
+:func:`collate` enumerates.  Token self-attention is limited to a window of
+``WINDOW`` characters and the cross-attention query is one vector per
+molecule: full token-pair attention over a batch of 256 screening molecules
+needs about a million pairs, whose (pairs, DIM) float64 arrays reach a
+gigabyte of memory.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from molfuse import tensor as T
+from molfuse.smiles import MolecularGraph
+from molfuse.tensor import Tensor
+from spans import OFF, Tracer
+
+DIM = 32
+HEADS = 4
+FFN = 2 * DIM
+WINDOW = 8  # a token attends to tokens at most this many characters away
+MAX_TOKENS = 128  # positional table size; longer strings are truncated
+CLASSES = 2
+
+# Character vocabulary of the SMILES alphabet; index 0 is "unknown".
+VOCAB = "?#%()+-./0123456789:=@BCFHIKLMNOPSTXZ[\\]abcegilnoprstu"
+_CHAR_INDEX = np.zeros(128, dtype=np.intp)
+_CHAR_INDEX[[ord(c) for c in VOCAB[1:]]] = np.arange(1, len(VOCAB))
+
+# One-hot slots per atom feature, in AtomFeatures.to_vector order.  Values
+# outside a slot range are clipped into its last bucket.
+_ELEMENT_SLOTS = (5, 6, 7, 8, 9, 15, 16, 17, 35, 53)  # B C N O F P S Cl Br I; others -> extra slot
+_FEATURE_SIZES = (len(_ELEMENT_SLOTS) + 1, 4, 6, 5, 5, 3, 7, 2, 2)
+_FEATURE_OFFSETS = np.concatenate([[0], np.cumsum(_FEATURE_SIZES)[:-1]])
+ATOM_FEATURES = int(sum(_FEATURE_SIZES))
+_ELEMENT_INDEX = np.full(128, len(_ELEMENT_SLOTS), dtype=np.intp)
+_ELEMENT_INDEX[list(_ELEMENT_SLOTS)] = np.arange(len(_ELEMENT_SLOTS))
+
+# Head indicator: column h sums the DIM // HEADS coordinates of head h.
+_HEAD_SUM = np.kron(np.eye(HEADS), np.ones((DIM // HEADS, 1)))
+_HEAD_SPREAD = _HEAD_SUM.T.copy()
+
+
+@dataclass
+class Batch:
+    """Index arrays for one disjoint-union batch; everything is numpy."""
+
+    num_mols: int
+    atom_x: np.ndarray  # (atoms, ATOM_FEATURES) one-hot
+    atom_mol: np.ndarray  # (atoms,)
+    edge_src: np.ndarray  # directed bonds plus self loops
+    edge_dst: np.ndarray
+    tok_ids: np.ndarray  # (tokens,)
+    tok_pos: np.ndarray
+    tok_mol: np.ndarray
+    tt_q: np.ndarray  # token -> token pairs within a molecule and WINDOW
+    tt_k: np.ndarray
+    inv_atoms: np.ndarray  # (mols, 1) reciprocal atom counts
+
+
+def _pairs(key_start: np.ndarray, key_count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand per-query key ranges into (query, key) index pairs."""
+    q = np.repeat(np.arange(len(key_count)), key_count)
+    first = np.cumsum(key_count) - key_count
+    return q, np.repeat(key_start - first, key_count) + np.arange(len(q))
+
+
+def encode_atoms(graph: MolecularGraph) -> np.ndarray:
+    """One-hot atom features, (atoms, ATOM_FEATURES)."""
+    raw = graph.feature_matrix().astype(np.intp)
+    idx = np.empty_like(raw)
+    idx[:, 0] = _ELEMENT_INDEX[np.minimum(raw[:, 0], 127)]
+    idx[:, 1:] = np.clip(raw[:, 1:], 0, np.array(_FEATURE_SIZES[1:]) - 1)
+    idx[:, 3] = np.clip(raw[:, 3] + 2, 0, _FEATURE_SIZES[3] - 1)  # charge -2..2
+    out = np.zeros((len(raw), ATOM_FEATURES))
+    out[np.arange(len(raw))[:, None], idx + _FEATURE_OFFSETS] = 1.0
+    return out
+
+
+def collate(graphs: list[MolecularGraph]) -> Batch:
+    """Batch featurized molecules into one graph plus character tokens."""
+    atom_sizes = np.array([g.num_atoms for g in graphs])
+    tok_sizes = np.array([min(len(g.source_smiles), MAX_TOKENS) for g in graphs])
+    atom_start = np.concatenate([[0], np.cumsum(atom_sizes)[:-1]])
+    src, dst = [], []
+    for g, off in zip(graphs, atom_start):
+        if g.bonds:
+            pairs = np.array(g.bond_pairs()) + off
+            src += [pairs[:, 0], pairs[:, 1]]
+            dst += [pairs[:, 1], pairs[:, 0]]
+    loops = np.arange(int(atom_sizes.sum()))
+    chars = "".join(g.source_smiles[:MAX_TOKENS] for g in graphs)
+    codes = np.frombuffer(chars.encode("ascii", "replace"), dtype=np.uint8)
+    tok_start = np.cumsum(tok_sizes) - tok_sizes
+    tok_mol = np.repeat(np.arange(len(graphs)), tok_sizes)
+    tok_pos = np.arange(len(tok_mol)) - tok_start[tok_mol]
+    lo = np.maximum(tok_pos - WINDOW, 0)
+    hi = np.minimum(tok_pos + WINDOW, tok_sizes[tok_mol] - 1)
+    tt_q, tt_k = _pairs(tok_start[tok_mol] + lo, hi - lo + 1)
+    return Batch(
+        num_mols=len(graphs),
+        atom_x=np.concatenate([encode_atoms(g) for g in graphs]),
+        atom_mol=np.repeat(np.arange(len(graphs)), atom_sizes),
+        edge_src=np.concatenate(src + [loops]),
+        edge_dst=np.concatenate(dst + [loops]),
+        tok_ids=_CHAR_INDEX[np.minimum(codes, 127)],
+        tok_pos=tok_pos,
+        tok_mol=tok_mol,
+        tt_q=tt_q,
+        tt_k=tt_k,
+        inv_atoms=(1.0 / atom_sizes)[:, None],
+    )
+
+
+# ---- parameters ---------------------------------------------------------------
+
+
+def init_params(rng: np.random.Generator) -> dict[str, Tensor]:
+    """Glorot-scaled weights, zero biases, unit layer-norm gains."""
+    shapes = {
+        "atom.w": (ATOM_FEATURES, DIM),
+        "atom.b": (DIM,),
+        "tok.embed": (len(VOCAB), DIM),
+        "tok.pos": (MAX_TOKENS, DIM),
+        "head.w": (DIM, CLASSES),
+        "head.b": (CLASSES,),
+    }
+    for layer in ("gat0", "gat1"):
+        shapes.update({f"{layer}.w": (DIM, DIM), f"{layer}.src": (DIM,), f"{layer}.dst": (DIM,), f"{layer}.b": (DIM,)})
+    for name in ("tok.q", "tok.k", "tok.v", "tok.o", "cross.q", "cross.k", "cross.v", "cross.o"):
+        shapes[name] = (DIM, DIM)
+    shapes.update({"tok.ff1": (DIM, FFN), "tok.ff1b": (FFN,), "tok.ff2": (FFN, DIM), "tok.ff2b": (DIM,)})
+    for ln in ("tok.ln1", "tok.ln2", "cross.ln"):
+        shapes[f"{ln}.g"] = (DIM,)
+        shapes[f"{ln}.b"] = (DIM,)
+    params = {}
+    for name, shape in sorted(shapes.items()):
+        if name.endswith(".g"):
+            values = np.ones(shape)
+        elif len(shape) == 1 and not name.endswith((".src", ".dst")):
+            values = np.zeros(shape)
+        else:
+            fan = sum(shape) if len(shape) == 2 else shape[0]
+            values = rng.normal(scale=np.sqrt(2.0 / fan), size=shape)
+        params[name] = T.parameter(values)
+    return params
+
+
+# ---- forward stages -------------------------------------------------------------
+
+
+def _segment_attention(q: Tensor, k: Tensor, v: Tensor, q_idx, k_idx, num_q: int) -> Tensor:
+    """Multi-head dot-product attention restricted to listed (query, key) pairs."""
+    scores = T.gather_rows(q, q_idx) * T.gather_rows(k, k_idx)
+    scores = T.scale(T.matmul(scores, T.constant(_HEAD_SUM)), 1.0 / np.sqrt(DIM // HEADS))
+    alpha = T.segment_softmax(scores, q_idx, num_q)
+    weighted = T.gather_rows(v, k_idx) * T.matmul(alpha, T.constant(_HEAD_SPREAD))
+    return T.segment_sum(weighted, q_idx, num_q)
+
+
+def _gat_layer(h: Tensor, p: dict[str, Tensor], layer: str, batch: Batch) -> Tensor:
+    n = h.shape[0]
+    z = T.matmul(h, p[f"{layer}.w"])
+    head_sum = T.constant(_HEAD_SUM)
+    s_src = T.matmul(z * p[f"{layer}.src"], head_sum)
+    s_dst = T.matmul(z * p[f"{layer}.dst"], head_sum)
+    e = T.leaky_relu(T.gather_rows(s_src, batch.edge_src) + T.gather_rows(s_dst, batch.edge_dst))
+    alpha = T.segment_softmax(e, batch.edge_dst, n)
+    msg = T.gather_rows(z, batch.edge_src) * T.matmul(alpha, T.constant(_HEAD_SPREAD))
+    return T.elu(T.segment_sum(msg, batch.edge_dst, n) + p[f"{layer}.b"])
+
+
+def gat(p: dict[str, Tensor], batch: Batch) -> Tensor:
+    """Atom embedding plus two GAT layers: (atoms, DIM)."""
+    h = T.elu(T.matmul(T.constant(batch.atom_x), p["atom.w"]) + p["atom.b"])
+    return _gat_layer(_gat_layer(h, p, "gat0", batch), p, "gat1", batch)
+
+
+def token(p: dict[str, Tensor], batch: Batch) -> Tensor:
+    """Character embedding plus one pre-norm Transformer layer: (tokens, DIM)."""
+    x = T.gather_rows(p["tok.embed"], batch.tok_ids) + T.gather_rows(p["tok.pos"], batch.tok_pos)
+    h = T.layer_norm(x, p["tok.ln1.g"], p["tok.ln1.b"])
+    n = x.shape[0]
+    att = _segment_attention(
+        T.matmul(h, p["tok.q"]), T.matmul(h, p["tok.k"]), T.matmul(h, p["tok.v"]), batch.tt_q, batch.tt_k, n
+    )
+    x = x + T.matmul(att, p["tok.o"])
+    h = T.layer_norm(x, p["tok.ln2.g"], p["tok.ln2.b"])
+    ff = T.matmul(T.gelu(T.matmul(h, p["tok.ff1"]) + p["tok.ff1b"]), p["tok.ff2"]) + p["tok.ff2b"]
+    return x + ff
+
+
+def cross(p: dict[str, Tensor], atoms: Tensor, tokens: Tensor, batch: Batch) -> Tensor:
+    """Mean readout of the atoms, which then attends to its molecule's tokens: (mols, DIM)."""
+    pooled = T.segment_sum(atoms, batch.atom_mol, batch.num_mols) * T.constant(batch.inv_atoms)
+    q = T.matmul(pooled, p["cross.q"])
+    k = T.matmul(tokens, p["cross.k"])
+    v = T.matmul(tokens, p["cross.v"])
+    att = _segment_attention(q, k, v, batch.tok_mol, np.arange(tokens.shape[0]), batch.num_mols)
+    return T.layer_norm(pooled + T.matmul(att, p["cross.o"]), p["cross.ln.g"], p["cross.ln.b"])
+
+
+def head(p: dict[str, Tensor], fused: Tensor) -> Tensor:
+    """Linear head on the fused molecule vectors: (mols, CLASSES)."""
+    return T.matmul(fused, p["head.w"]) + p["head.b"]
+
+
+def forward(p: dict[str, Tensor], batch: Batch, tracer: Tracer = OFF) -> Tensor:
+    """Logits for a batch, one span per stage."""
+    with tracer.span("tensor.fwd.gat"):
+        atoms = gat(p, batch)
+    with tracer.span("tensor.fwd.token"):
+        tokens = token(p, batch)
+    with tracer.span("tensor.fwd.cross"):
+        fused = cross(p, atoms, tokens, batch)
+    with tracer.span("tensor.fwd.head"):
+        return head(p, fused)
+
+
+def probabilities(logits: Tensor) -> np.ndarray:
+    return T.softmax(logits, axis=-1).values
