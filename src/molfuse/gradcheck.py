@@ -51,14 +51,20 @@ class CheckResult:
 
 
 def numeric_partial(make_loss: Callable[[], Tensor], param: Tensor, flat_index: int, h: float) -> float:
-    """Central finite difference of the loss w.r.t. one parameter coordinate."""
-    flat = param.values.reshape(-1)
-    saved = flat[flat_index]
-    flat[flat_index] = saved + h
+    """Central finite difference of the loss w.r.t. one parameter coordinate.
+
+    ``flat_index`` counts in C order.  The coordinate is written through the
+    array itself, so non-contiguous parameters (e.g. built from ``x.T``) are
+    perturbed too.
+    """
+    values = param.values
+    index = np.unravel_index(flat_index, values.shape)
+    saved = values[index]
+    values[index] = saved + h
     plus = make_loss().item()
-    flat[flat_index] = saved - h
+    values[index] = saved - h
     minus = make_loss().item()
-    flat[flat_index] = saved
+    values[index] = saved
     return (plus - minus) / (2.0 * h)
 
 

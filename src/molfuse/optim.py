@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,9 +15,10 @@ from .tensor import Tensor
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter.
 
-    Invariants: 0 <= beta1, beta2 < 1 and epsilon > 0; moment arrays match
-    their parameter shapes.  ``step_count`` increments before bias
-    correction, so the first step uses t = 1.
+    Invariants: learning_rate is finite and >= 0, 0 <= beta1, beta2 < 1
+    and epsilon > 0; moment arrays match their parameter shapes.
+    ``step_count`` increments before bias correction, so the first step
+    uses t = 1.
     """
 
     learning_rate: float = 1e-4
@@ -28,6 +30,8 @@ class AdamState:
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ParameterError(f"Adam learning_rate must be finite and non-negative, got {self.learning_rate}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ParameterError("Adam betas must lie in [0, 1)")
         if self.epsilon <= 0.0:

@@ -9,7 +9,19 @@ in reverse topological order (see :class:`Tape`).
 Conventions:
 
 * float64 everywhere; all stored values must be finite (a non-finite result
-  raises :class:`~molfuse.errors.NumericError` at construction).
+  raises :class:`~molfuse.errors.NumericError` at construction).  Every op
+  checks its result, because ``Tensor.values`` may be reassigned from
+  outside (checkpoint loading, optimizer steps) without a check.
+* Segment reductions (``segment_sum``, the ``segment_softmax``
+  denominators and backward, the ``gather_rows`` backward) multiply by the
+  sparse 0/1 indicator ``S[id[j], j] = 1`` in CSC form.  The product adds
+  each segment's rows one at a time in row order, the order of an unbuffered
+  NumPy scatter-add, so results are bit-identical to that scatter.
+* Gradient ownership: a leaf's ``grad`` is a private array that the caller
+  may edit in place.  Interior tensors keep the array their consumer's rule
+  returned, which may be read-only or shared with other tensors; read them,
+  never write them.  Accumulation is always out of place (``grad + g``).
+* ``no_grad`` is per thread and per async context.
 * Subgradients at kinks (leaky_relu, relu, elu, max) take the right-hand
   value, so the derivative at exactly 0 is the positive-side one.
 * Stochastic ops take an explicit ``numpy.random.Generator``.
@@ -17,10 +29,13 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.special import erf
 
 from .errors import DataError, NumericError, ParameterError, ShapeError
@@ -28,21 +43,22 @@ from .errors import DataError, NumericError, ParameterError, ShapeError
 Array = np.ndarray
 BackwardRule = Callable[[Array], tuple]
 
-_grad_enabled: bool = True
+_grad_enabled: ContextVar[bool] = ContextVar("molfuse_grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that disables recording of backward rules."""
+    """Context manager that disables recording of backward rules.
+
+    The switch is a context variable, so it covers the current thread or
+    async task only.
+    """
 
     def __enter__(self):
-        global _grad_enabled
-        self._saved = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._saved
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -52,7 +68,9 @@ class Tensor:
     ``requires_grad`` marks leaves whose gradient should be accumulated;
     tensors produced by operations on such leaves carry the flag implicitly.
     ``grad`` is populated by :func:`backward` and accumulates additively
-    until cleared.
+    until cleared.  A leaf's ``grad`` is its own writable array; an interior
+    tensor's ``grad`` may be a read-only view or shared with other tensors,
+    so treat it as read-only.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "op", "inputs", "backward_rule")
@@ -146,7 +164,7 @@ def parameter(values) -> Tensor:
 
 def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRule) -> Tensor:
     """Wrap an op result, recording the backward rule only when needed."""
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_enabled.get() and any(t.requires_grad for t in inputs):
         return Tensor(values, requires_grad=True, op=op, inputs=inputs, backward_rule=backward_rule)
     return Tensor(values, op=op)
 
@@ -219,10 +237,13 @@ def backward(loss: Tensor) -> None:
 
 
 def _accumulate(tensor: Tensor, grad: Array) -> None:
-    if tensor.grad is None:
+    """Add ``grad`` out of place; only leaves copy it on first write."""
+    if tensor.grad is not None:
+        tensor.grad = tensor.grad + grad
+    elif tensor.backward_rule is None:
         tensor.grad = np.array(grad, dtype=np.float64, copy=True)
     else:
-        tensor.grad = tensor.grad + grad
+        tensor.grad = grad
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -353,9 +374,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = a.values[idx]
 
     def rule(g):
-        full = np.zeros_like(a.values)
-        np.add.at(full, idx, g)
-        return (full,)
+        return (_sum_rows(_indicator(idx, n), g),)
 
     return _make(out, "gather_rows", (a,), rule)
 
@@ -365,7 +384,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = a.values.sum()
-    return _make(out, "sum_all", (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    return _make(out, "sum_all", (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -373,7 +392,7 @@ def mean_all(a: Tensor) -> Tensor:
     if n == 0:
         raise ShapeError("mean of an empty tensor")
     out = a.values.mean()
-    return _make(out, "mean_all", (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
+    return _make(out, "mean_all", (a,), lambda g: (np.broadcast_to(g / n, a.shape),))
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
@@ -382,7 +401,7 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     def rule(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.shape),)
 
     return _make(out, "sum_axis", (a,), rule)
 
@@ -396,7 +415,7 @@ def mean_axis(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
     def rule(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, a.shape).copy(),)
+        return (np.broadcast_to(g / n, a.shape),)
 
     return _make(out, "mean_axis", (a,), rule)
 
@@ -544,12 +563,27 @@ def _check_segments(seg: Array, length: int, num_segments: int) -> None:
         raise ShapeError(f"segment ids must lie in [0, {num_segments})")
 
 
+def _indicator(ids: Array, num_segments: int) -> sparse.csc_array:
+    """The (num_segments, rows) 0/1 matrix with a single 1 at (ids[j], j) in column j."""
+    rows = ids.shape[0]
+    return sparse.csc_array((np.ones(rows), ids, np.arange(rows + 1)), shape=(num_segments, rows))
+
+
+def _sum_rows(indicator: sparse.csc_array, x: Array) -> Array:
+    """``indicator @ x`` over the first axis of an array of any rank >= 1.
+
+    CSC columns are visited in order, so each segment adds its rows one at
+    a time in row order, exactly as an unbuffered scatter-add does.
+    """
+    flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+    return (indicator @ flat).reshape(indicator.shape[:1] + x.shape[1:])
+
+
 def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Sum rows of ``a`` into ``num_segments`` buckets by first-axis segment id."""
     seg = np.asarray(segment_ids, dtype=np.intp)
     _check_segments(seg, a.shape[0], num_segments)
-    out = np.zeros((num_segments,) + a.shape[1:], dtype=np.float64)
-    np.add.at(out, seg, a.values)
+    out = _sum_rows(_indicator(seg, num_segments), a.values)
 
     def rule(g):
         return (np.asarray(g)[seg],)
@@ -568,16 +602,17 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     _check_segments(seg, a.shape[0], num_segments)
     if a.shape[0] == 0:
         raise ShapeError("segment_softmax needs at least one row")
+    # Per-segment max as one 1-D scatter over flat (segment, column) slots.
+    width = math.prod(a.shape[1:])
     seg_max = np.full((num_segments,) + a.shape[1:], -np.inf)
-    np.maximum.at(seg_max, seg, a.values)
+    flat_ids = (seg[:, None] * width + np.arange(width)).reshape(-1)
+    np.maximum.at(seg_max.reshape(-1), flat_ids, a.values.reshape(-1))
     z = np.exp(a.values - seg_max[seg])
-    denom = np.zeros_like(seg_max)
-    np.add.at(denom, seg, z)
-    out = z / denom[seg]
+    indicator = _indicator(seg, num_segments)
+    out = z / _sum_rows(indicator, z)[seg]
 
     def rule(g):
-        dot = np.zeros_like(seg_max)
-        np.add.at(dot, seg, np.asarray(g) * out)
+        dot = _sum_rows(indicator, g * out)
         return (out * (g - dot[seg]),)
 
     return _make(out, "segment_softmax", (a,), rule)

@@ -1,6 +1,8 @@
 """Reverse-mode differentiation: tape structure, accumulation, and the
 finite-difference suite over every registered op."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,29 @@ class TestBackwardBasics:
         with T.no_grad():
             y = T.mul(x, x)
         assert y.backward_rule is None and not y.requires_grad
+
+    def test_no_grad_in_one_thread_leaves_others_recording(self):
+        x = T.parameter([1.0])
+        entered, release = threading.Event(), threading.Event()
+        held = []
+
+        def hold():
+            with T.no_grad():
+                held.append(T.mul(x, x))
+                entered.set()
+                release.wait(timeout=10)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            y = T.mul(x, x)
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert not held[0].requires_grad
+        assert y.requires_grad and y.backward_rule is not None
 
 
 class TestTape:
@@ -114,4 +139,19 @@ class TestCompositeGradients:
             return T.cross_entropy(T.matmul(h, w2), labels)
 
         err = max_relative_error({"w1": w1, "w2": w2}, make_loss, n_points=10, rng=stream(18, "pts"))
+        assert err < 1e-4
+
+    def test_non_contiguous_parameter(self):
+        from molfuse.gradcheck import max_relative_error
+
+        rng = stream(19, "transposed")
+        w = T.parameter(rng.normal(size=(3, 4)).T)
+        assert not w.values.flags.c_contiguous
+        x = T.constant(rng.normal(size=(2, 4)))
+
+        def make_loss():
+            h = T.matmul(x, w)
+            return T.sum_all(T.mul(h, h))
+
+        err = max_relative_error({"w": w}, make_loss, n_points=10, rng=stream(20, "pts"))
         assert err < 1e-4

@@ -5,7 +5,7 @@ import pytest
 
 from molfuse import tensor as T
 from molfuse.checkpoint import load_arrays, load_into, save_params
-from molfuse.errors import DataError
+from molfuse.errors import DataError, NumericError
 from molfuse.rng import stream
 
 
@@ -70,3 +70,16 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"not a checkpoint\nend\n")
     with pytest.raises(DataError):
         load_arrays(path)
+
+
+def test_non_finite_checkpoint_caught_by_first_op(tmp_path, params):
+    # load_into assigns values without a check; the first op that reads them must raise.
+    bad = params["gat.0.W"]
+    bad.values = bad.values.copy()
+    bad.values[2, 5] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_params(path, params)
+    fresh = {name: T.parameter(np.zeros(p.shape)) for name, p in params.items()}
+    load_into(path, fresh)
+    with pytest.raises(NumericError):
+        T.gather_rows(fresh["gat.0.W"], [2])

@@ -81,6 +81,10 @@ def test_parameter_validation():
         AdamState(beta1=1.0)
     with pytest.raises(ParameterError):
         AdamState(epsilon=0.0)
+    for learning_rate in (-1e-3, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            AdamState(learning_rate=learning_rate)
+    assert AdamState(learning_rate=0.0).learning_rate == 0.0
 
 
 def test_moments_match_parameter_shapes():

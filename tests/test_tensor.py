@@ -241,3 +241,102 @@ class TestSegmentOps:
     def test_segment_softmax_single_member(self):
         out = T.segment_softmax(T.constant([3.0]), np.array([0]), 1)
         np.testing.assert_allclose(out.values, [1.0])
+
+
+def scatter_sum_reference(ids: np.ndarray, rows: np.ndarray, num_segments: int) -> np.ndarray:
+    out = np.zeros((num_segments,) + rows.shape[1:])
+    np.add.at(out, ids, rows)
+    return out
+
+
+def segment_softmax_reference(x: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
+    seg_max = np.full((num_segments,) + x.shape[1:], -np.inf)
+    np.maximum.at(seg_max, ids, x)
+    z = np.exp(x - seg_max[ids])
+    return z / scatter_sum_reference(ids, z, num_segments)[ids]
+
+
+# Unsorted ids with duplicates; segments 2 and 5 of 7 stay empty.
+SCATTER_IDS = np.array([4, 0, 6, 4, 1, 3, 0, 4, 6])
+SCATTER_SEGMENTS = 7
+
+
+class TestScatterAgainstReference:
+    """Segment sums, maxima and the gather_rows backward equal the unbuffered
+    NumPy scatters bit for bit."""
+
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 3), (0,), (2, 0)])
+    def test_segment_sum(self, trailing):
+        x = stream(12, "scatter-sum").normal(size=(len(SCATTER_IDS),) + trailing) * 1e3
+        out = T.segment_sum(T.constant(x), SCATTER_IDS, SCATTER_SEGMENTS)
+        assert out.shape == (SCATTER_SEGMENTS,) + trailing
+        np.testing.assert_array_equal(out.values, scatter_sum_reference(SCATTER_IDS, x, SCATTER_SEGMENTS))
+
+    def test_segment_sum_no_rows(self):
+        out = T.segment_sum(T.constant(np.zeros((0, 3))), np.zeros(0, dtype=int), 4)
+        np.testing.assert_array_equal(out.values, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
+    def test_segment_softmax_and_gradient(self, trailing):
+        rng = stream(13, "scatter-softmax")
+        shape = (len(SCATTER_IDS),) + trailing
+        x = rng.normal(size=shape) * 30
+        upstream = rng.normal(size=shape)
+        expected = segment_softmax_reference(x, SCATTER_IDS, SCATTER_SEGMENTS)
+        a = T.parameter(x)
+        out = T.segment_softmax(a, SCATTER_IDS, SCATTER_SEGMENTS)
+        np.testing.assert_array_equal(out.values, expected)
+        T.backward(T.sum_all(T.mul(out, T.constant(upstream))))
+        dot = scatter_sum_reference(SCATTER_IDS, upstream * expected, SCATTER_SEGMENTS)
+        np.testing.assert_array_equal(a.grad, expected * (upstream - dot[SCATTER_IDS]))
+
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
+    def test_gather_rows_gradient(self, trailing):
+        rng = stream(14, "scatter-gather")
+        a = T.parameter(rng.normal(size=(SCATTER_SEGMENTS,) + trailing))
+        upstream = rng.normal(size=(len(SCATTER_IDS),) + trailing)
+        T.backward(T.sum_all(T.mul(T.gather_rows(a, SCATTER_IDS), T.constant(upstream))))
+        np.testing.assert_array_equal(a.grad, scatter_sum_reference(SCATTER_IDS, upstream, SCATTER_SEGMENTS))
+
+    def test_gather_rows_gradient_non_contiguous_upstream(self):
+        # transpose hands gather_rows a transposed (non-contiguous) gradient.
+        rng = stream(15, "scatter-gather-t")
+        a = T.parameter(rng.normal(size=(SCATTER_SEGMENTS, 3)))
+        upstream = rng.normal(size=(3, len(SCATTER_IDS)))
+        picked = T.transpose(T.gather_rows(a, SCATTER_IDS))
+        T.backward(T.sum_all(T.mul(picked, T.constant(upstream))))
+        np.testing.assert_array_equal(a.grad, scatter_sum_reference(SCATTER_IDS, upstream.T, SCATTER_SEGMENTS))
+
+    def test_gather_rows_empty_index(self):
+        a = T.parameter(np.ones((4, 3)))
+        picked = T.gather_rows(a, np.zeros(0, dtype=int))
+        assert picked.shape == (0, 3)
+        T.backward(T.sum_all(picked))
+        np.testing.assert_array_equal(a.grad, np.zeros((4, 3)))
+
+
+class TestFiniteCheckAndGradientContracts:
+    def test_checked_ops_reject_overflow(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError):
+                T.mul(T.constant([1e200]), T.constant([1e200]))
+            with pytest.raises(NumericError):
+                T.matmul(T.constant([[1e200]]), T.constant([[1e200]]))
+            with pytest.raises(NumericError):
+                T.segment_sum(T.constant([1e308, 1e308]), np.array([0, 0]), 1)
+
+    def test_leaf_grads_are_private(self):
+        a = T.parameter([1.0, 2.0])
+        b = T.parameter([3.0, 4.0])
+        T.backward(T.sum_all(T.add(a, b)))
+        assert a.grad is not b.grad
+        a.grad[0] += 5.0
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+    def test_interior_grads_are_read_only(self):
+        a = T.parameter([1.0, 2.0])
+        y = T.mul(a, a)
+        T.backward(T.sum_all(y))
+        assert y.backward_rule is not None
+        assert not y.grad.flags.writeable
+        assert a.grad.flags.writeable
