@@ -10,11 +10,14 @@ Layout::
     <raw bytes, one flat array per param line, in header order>
 
 Round-trips are bit-exact: saving and reloading reproduces every array and
-re-saving reproduces the file bytes.
+re-saving reproduces the file bytes.  Every malformed file raises
+:class:`DataError`; a fault in a header line names its line number.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from .tensor import Tensor
 
 MAGIC = "molfuse-checkpoint 1"
 DTYPE_LINE = "dtype float64 little-endian"
+_PARAM_LINE = re.compile(r"param (\S+) (scalar|[0-9]+(?:x[0-9]+)*)")
 
 
 def save_params(path: str | Path, params: dict[str, Tensor]) -> None:
@@ -49,23 +53,31 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
         head_end = blob.index(b"end\n") + len(b"end\n")
     except ValueError:
         raise DataError(f"{path}: missing checkpoint header terminator")
-    header = blob[:head_end].decode("utf-8").splitlines()
-    if not header or header[0] != MAGIC:
+    header: list[str] = []
+    for number, raw in enumerate(blob[:head_end].split(b"\n")[:-1], start=1):
+        try:
+            header.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: line {number}: header is not UTF-8") from None
+    if header[0] != MAGIC:
         raise DataError(f"{path}: not a molfuse checkpoint (bad magic)")
     if header[1] != DTYPE_LINE:
-        raise DataError(f"{path}: unsupported dtype line {header[1]!r}")
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for line in header[2:-1]:
-        kind, name, dims = line.split(" ")
-        if kind != "param":
-            raise DataError(f"{path}: unexpected header line {line!r}")
-        shape = () if dims == "scalar" else tuple(int(d) for d in dims.split("x"))
-        shapes.append((name, shape))
+        raise DataError(f"{path}: line 2: unsupported dtype line {header[1]!r}")
+    if header[-1] != "end":
+        raise DataError(f"{path}: line {len(header)}: header does not end with 'end'")
+    shapes: dict[str, tuple[int, ...]] = {}
+    for number, line in enumerate(header[2:-1], start=3):
+        match = _PARAM_LINE.fullmatch(line)
+        if match is None or match[2].count("x") >= 32:  # numpy 1.x arrays have at most 32 dims
+            raise DataError(f"{path}: line {number}: malformed header line {line!r}")
+        name, dims = match.groups()
+        if name in shapes:
+            raise DataError(f"{path}: line {number}: duplicate parameter {name!r}")
+        shapes[name] = () if dims == "scalar" else tuple(int(d) for d in dims.split("x"))
     out: dict[str, np.ndarray] = {}
     offset = head_end
-    for name, shape in shapes:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in shapes.items():
+        nbytes = math.prod(shape) * 8
         chunk = blob[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise DataError(f"{path}: truncated data for parameter {name!r}")

@@ -16,9 +16,11 @@ Featurization follows the usual cheminformatics conventions:
   atoms use their lowest default valence and clamp at zero (so furan O and
   thiophene S carry no hydrogens), while non-aromatic atoms pick the
   smallest admissible valence and raise :class:`ValenceError` if none fits;
-* a default (unwritten) bond between two aromatic atoms is aromatic only
-  when it lies in a ring, otherwise single (the biphenyl case);
-* ring membership means "lies on some cycle", computed from bridge edges;
+* ring membership means "lies on some cycle".  ``parse_smiles`` finds the
+  ring edges (the non-bridges) with one bridge search per molecule; an atom
+  is in a ring when a ring edge touches it, and a default (unwritten) bond
+  is aromatic when both its atoms are aromatic and it is a ring edge,
+  otherwise single (the biphenyl case);
 * radical electrons are the valence an uncharged bracket atom leaves
   unfilled, by the same rule as implicit hydrogens: bonds plus written
   hydrogens, aromatic atoms against their lowest default valence clamped at
@@ -30,12 +32,16 @@ Featurization follows the usual cheminformatics conventions:
 Explicit hydrogens written as their own atoms (e.g. ``[H]``) become graph
 nodes and count toward degree, not toward the hydrogen-count feature.
 Isotope labels and atom-class tags are parsed and discarded.
+
+The field order of :class:`AtomFeatures` is the column order of
+:meth:`MolecularGraph.feature_matrix`: enums by ordinal, flags as 0/1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,9 +140,8 @@ _BOND_SYMBOLS = {
 _CHIRAL_CLASSES = {"TH": 2, "AL": 2, "SP": 3, "TB": 20, "OH": 30}
 
 
-@dataclass
-class AtomFeatures:
-    """The nine per-atom features consumed by the graph branch."""
+class AtomFeatures(NamedTuple):
+    """The nine per-atom features consumed by the graph branch, in column order."""
 
     atomic_number: int
     chirality: Chirality
@@ -147,39 +152,6 @@ class AtomFeatures:
     hybridization: Hybridization
     is_aromatic: bool
     in_ring: bool
-
-    def to_vector(self) -> np.ndarray:
-        """Numeric encoding: enums by ordinal, flags as 0/1."""
-        return np.array(
-            [
-                self.atomic_number,
-                int(self.chirality),
-                self.degree,
-                self.formal_charge,
-                self.num_hs,
-                self.radical_electrons,
-                int(self.hybridization),
-                int(self.is_aromatic),
-                int(self.in_ring),
-            ],
-            dtype=np.float64,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "atomic_number": self.atomic_number,
-            "chirality": self.chirality.name,
-            "degree": self.degree,
-            "formal_charge": self.formal_charge,
-            "num_hs": self.num_hs,
-            "radical_electrons": self.radical_electrons,
-            "hybridization": self.hybridization.name,
-            "is_aromatic": self.is_aromatic,
-            "in_ring": self.in_ring,
-        }
-
-
-NUM_ATOM_FEATURES = 9
 
 
 @dataclass
@@ -198,7 +170,7 @@ class MolecularGraph:
         return [(i, j) for i, j, _ in self.bonds]
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([a.to_vector() for a in self.atoms])
+        return np.array(self.atoms, dtype=np.float64)
 
 
 # ---- raw parse structures -------------------------------------------------------
@@ -221,7 +193,7 @@ class ParsedMolecule:
 
     atoms: list[RawAtom]
     bonds: list[tuple[int, int, BondOrder]]
-    source: str
+    in_ring: list[bool]
 
 
 def _is_digit(ch: str) -> bool:
@@ -326,32 +298,28 @@ def parse_smiles(s: str) -> ParsedMolecule:
     if not s:
         raise SmilesError("empty SMILES string", 0)
     atoms: list[RawAtom] = []
-    bonds: dict[tuple[int, int], BondOrder] = {}
-    explicit_default: dict[tuple[int, int], bool] = {}
+    bonds: dict[tuple[int, int], BondOrder | None] = {}  # None: unwritten
     prev: int | None = None
     pending: tuple[BondOrder, int] | None = None  # (order, offset of symbol)
     stack: list[int | None] = []
-    open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
+    open_rings: dict[int, tuple[int, BondOrder | None]] = {}  # number -> (atom, written order)
 
-    def add_bond(i: int, j: int, order: BondOrder, offset: int, default: bool) -> None:
+    def add_bond(i: int, j: int, order: BondOrder | None, offset: int) -> None:
         if i == j:
             raise SmilesError("ring closure bonds an atom to itself", offset)
         key = (min(i, j), max(i, j))
         if key in bonds:
             raise SmilesError("duplicate bond between atoms", offset)
         bonds[key] = order
-        explicit_default[key] = default
 
     def attach(new_index: int, offset: int) -> None:
         nonlocal pending, prev
         if prev is not None:
             if pending is not None:
-                add_bond(prev, new_index, pending[0], pending[1], default=False)
+                add_bond(prev, new_index, pending[0], pending[1])
                 pending = None
             else:
-                both_aromatic = atoms[prev].aromatic and atoms[new_index].aromatic
-                order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-                add_bond(prev, new_index, order, offset, default=True)
+                add_bond(prev, new_index, None, offset)
         prev = new_index
 
     i = 0
@@ -391,20 +359,14 @@ def parse_smiles(s: str) -> ParsedMolecule:
             if prev is None:
                 raise SmilesError("ring closure before any atom", i)
             if number in open_rings:
-                other, other_order, other_off = open_rings.pop(number)
+                other, other_order = open_rings.pop(number)
                 here_order = pending[0] if pending is not None else None
                 if other_order is not None and here_order is not None and other_order != here_order:
                     raise SmilesError("conflicting bond orders on ring closure", i)
-                order = here_order if here_order is not None else other_order
-                if order is None:
-                    both_aromatic = atoms[other].aromatic and atoms[prev].aromatic
-                    order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-                    add_bond(prev, other, order, i, default=True)
-                else:
-                    add_bond(prev, other, order, i, default=False)
+                add_bond(prev, other, here_order if here_order is not None else other_order, i)
                 pending = None
             else:
-                open_rings[number] = (prev, pending[0] if pending else None, i)
+                open_rings[number] = (prev, pending[0] if pending else None)
                 pending = None
             i += width
         elif ch == "[":
@@ -441,16 +403,17 @@ def parse_smiles(s: str) -> ParsedMolecule:
     if not atoms:
         raise SmilesError("no atoms in SMILES string", 0)
 
-    bond_list = [(i_, j_, order) for (i_, j_), order in bonds.items()]
-    # Default bonds between aromatic atoms are aromatic only inside rings.
-    ring_edges = _non_bridge_edges(len(atoms), [(i_, j_) for i_, j_, _ in bond_list])
-    fixed: list[tuple[int, int, BondOrder]] = []
-    for (i_, j_, order) in bond_list:
-        key = (i_, j_)
-        if order is BondOrder.AROMATIC and explicit_default[key] and key not in ring_edges:
-            order = BondOrder.SINGLE
-        fixed.append((i_, j_, order))
-    return ParsedMolecule(atoms=atoms, bonds=fixed, source=s)
+    ring_edges = _non_bridge_edges(len(atoms), list(bonds))
+    in_ring = [False] * len(atoms)
+    for a, b in ring_edges:
+        in_ring[a] = in_ring[b] = True
+    bond_list: list[tuple[int, int, BondOrder]] = []
+    for (a, b), order in bonds.items():
+        if order is None:
+            aromatic = atoms[a].aromatic and atoms[b].aromatic and (a, b) in ring_edges
+            order = BondOrder.AROMATIC if aromatic else BondOrder.SINGLE
+        bond_list.append((a, b, order))
+    return ParsedMolecule(atoms=atoms, bonds=bond_list, in_ring=in_ring)
 
 
 # ---- ring perception ------------------------------------------------------------
@@ -491,20 +454,6 @@ def _non_bridge_edges(num_atoms: int, edges: list[tuple[int, int]]) -> set[tuple
                     if low[node] > disc[parent]:
                         bridges.add(via)
     return {edge for eid, edge in enumerate(edges) if eid not in bridges}
-
-
-def ring_atom_flags(num_atoms: int, edges: list[tuple[int, int]]) -> list[bool]:
-    """True for atoms lying on at least one cycle of the bond graph."""
-    cyclic = _non_bridge_edges(num_atoms, edges)
-    flags = [False] * num_atoms
-    for a, b in cyclic:
-        flags[a] = True
-        flags[b] = True
-    return flags
-
-
-def perceive_rings(mol: ParsedMolecule) -> list[bool]:
-    return ring_atom_flags(len(mol.atoms), [(a, b) for a, b, _ in mol.bonds])
 
 
 # ---- valence model ---------------------------------------------------------------
@@ -581,7 +530,6 @@ def featurize(s: str) -> MolecularGraph:
         half_sums[b] += _HALF_ORDER[order]
         degree[a] += 1
         degree[b] += 1
-    in_ring = perceive_rings(mol)
 
     features: list[AtomFeatures] = []
     for idx, atom in enumerate(mol.atoms):
@@ -610,7 +558,7 @@ def featurize(s: str) -> MolecularGraph:
                 radical_electrons=radicals,
                 hybridization=hybrid,
                 is_aromatic=atom.aromatic,
-                in_ring=in_ring[idx],
+                in_ring=mol.in_ring[idx],
             )
         )
-    return MolecularGraph(atoms=features, bonds=list(mol.bonds), source_smiles=s)
+    return MolecularGraph(atoms=features, bonds=mol.bonds, source_smiles=s)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -172,23 +171,15 @@ def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRu
 # ---- tape and backward pass -------------------------------------------------
 
 
-@dataclass
-class TapeEntry:
-    op: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-    backward_rule: BackwardRule
-
-
 class Tape:
-    """The recorded ancestry of a tensor, in topological order.
+    """The recorded ancestry of a tensor: its op outputs in topological order.
 
-    Every entry's inputs appear before it, so a single reverse sweep
-    propagates gradients correctly and visits each recorded operation
+    Every tensor's recorded inputs appear before it, so a single reverse
+    sweep propagates gradients correctly and visits each recorded operation
     exactly once.
     """
 
-    def __init__(self, entries: list[TapeEntry]):
+    def __init__(self, entries: list[Tensor]):
         self.entries = entries
 
     def __len__(self) -> int:
@@ -210,8 +201,7 @@ class Tape:
             stack.append((node, True))
             for inp in node.inputs:
                 stack.append((inp, False))
-        entries = [TapeEntry(t.op or "?", t.inputs, t, t.backward_rule) for t in order]
-        return cls(entries)
+        return cls(order)
 
 
 def backward(loss: Tensor) -> None:
@@ -225,12 +215,11 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     tape = Tape.trace(loss)
     _accumulate(loss, np.ones_like(loss.values))
-    for entry in reversed(tape.entries):
-        out_grad = entry.output.grad
-        if out_grad is None:
+    for t in reversed(tape.entries):
+        if t.grad is None:
             continue
-        grads = entry.backward_rule(out_grad)
-        for tensor, grad in zip(entry.inputs, grads):
+        grads = t.backward_rule(t.grad)
+        for tensor, grad in zip(t.inputs, grads):
             if grad is None or not tensor.requires_grad:
                 continue
             _accumulate(tensor, grad)

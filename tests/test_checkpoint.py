@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molfuse import tensor as T
 from molfuse.checkpoint import load_arrays, load_into, save_params
@@ -70,6 +72,51 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"not a checkpoint\nend\n")
     with pytest.raises(DataError):
         load_arrays(path)
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        (b"param a\n", 3),
+        (b"param a 2xq\n", 3),
+        (b"param a 3x\n", 3),
+        (b"param \xff 2\n", 3),
+        (b"param a -1\n", 3),
+        (b"param a 1\nparam a 1\n", 4),
+        (b"param a " + b"x".join([b"1"] * 33) + b"\n", 3),
+        (b"param a 2x", 3),  # the terminator glued to a parameter line
+    ],
+    ids=["field-count", "letter-dim", "empty-dim", "not-utf8", "negative-dim", "duplicate",
+         "too-many-dims", "glued-end"],
+)
+def test_malformed_header_line_names_its_line(tmp_path, body, line):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"molfuse-checkpoint 1\ndtype float64 little-endian\n" + body + b"end\n" + bytes(16))
+    with pytest.raises(DataError, match=f"line {line}:"):
+        load_arrays(path)
+
+
+def _valid_checkpoint(path) -> bytes:
+    rng = stream(22, "ckpt-fuzz")
+    save_params(path, {"w": T.parameter(rng.normal(size=(2, 3))), "b": T.parameter(rng.normal())})
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cut=st.integers(0, 120),
+    flips=st.lists(st.tuples(st.integers(0, 119), st.integers(1, 255)), max_size=3),
+)
+def test_corrupted_checkpoint_loads_or_raises_data_error(tmp_path_factory, cut, flips):
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    blob = bytearray(_valid_checkpoint(path))
+    for at, mask in flips:
+        blob[at % len(blob)] ^= mask
+    path.write_bytes(bytes(blob[: len(blob) - cut]))
+    try:
+        load_arrays(path)
+    except DataError:
+        pass
 
 
 def test_non_finite_checkpoint_caught_by_first_op(tmp_path, params):

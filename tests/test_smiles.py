@@ -1,25 +1,28 @@
 """SMILES parser and featurizer semantics.
 
-Ring flags are checked against an exhaustive edge-removal oracle, and the
-committed 50-molecule fixture pins every feature of every atom.
+Ring flags are checked against an exhaustive edge-removal oracle, on chosen
+molecules and on generated strings, and the committed 50-molecule fixture
+pins every feature of every atom.
 """
 
 import json
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molfuse.errors import SmilesError, ValenceError
 from molfuse.smiles import (
+    AtomFeatures,
     BondOrder,
     Chirality,
     Hybridization,
-    MolecularGraph,
+    _non_bridge_edges,
     featurize,
     implicit_hydrogens,
     parse_smiles,
-    perceive_rings,
-    ring_atom_flags,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,6 +54,11 @@ def ring_flags_oracle(num_atoms: int, edges: list[tuple[int, int]]) -> list[bool
             flags[a] = True
             flags[b] = True
     return flags
+
+
+def by_name(atom: AtomFeatures) -> dict:
+    """An atom's fields keyed by name, enums by name, as the fixture writes them."""
+    return {k: v.name if isinstance(v, IntEnum) else v for k, v in atom._asdict().items()}
 
 
 class TestParser:
@@ -157,16 +165,13 @@ class TestParserErrors:
 
 class TestRingPerception:
     def test_acyclic(self):
-        mol = parse_smiles("CCO")
-        assert perceive_rings(mol) == [False, False, False]
+        assert parse_smiles("CCO").in_ring == [False, False, False]
 
     def test_benzene(self):
-        mol = parse_smiles("c1ccccc1")
-        assert perceive_rings(mol) == [True] * 6
+        assert parse_smiles("c1ccccc1").in_ring == [True] * 6
 
     def test_ring_with_tail(self):
-        mol = parse_smiles("C1CC1CC")
-        assert perceive_rings(mol) == [True, True, True, False, False]
+        assert parse_smiles("C1CC1CC").in_ring == [True, True, True, False, False]
 
     @pytest.mark.parametrize(
         "smiles",
@@ -183,12 +188,12 @@ class TestRingPerception:
         mol = parse_smiles(smiles)
         assert len(mol.atoms) <= 12
         edges = [(a, b) for a, b, _ in mol.bonds]
-        assert perceive_rings(mol) == ring_flags_oracle(len(mol.atoms), edges)
+        assert mol.in_ring == ring_flags_oracle(len(mol.atoms), edges)
 
     def test_flags_helper_on_disjoint_union(self):
-        # Triangle plus a path, as one graph.
+        # Triangle plus a path, as one graph; no SMILES string has two components yet.
         edges = [(0, 1), (1, 2), (0, 2), (3, 4)]
-        assert ring_atom_flags(5, edges) == [True, True, True, False, False]
+        assert _non_bridge_edges(5, edges) == {(0, 1), (1, 2), (0, 2)}
 
 
 class TestValenceModel:
@@ -257,7 +262,7 @@ class TestHybridization:
 class TestFeaturize:
     def test_methane_full_vector(self):
         atom = featurize("C").atoms[0]
-        assert atom.to_dict() == {
+        assert by_name(atom) == {
             "atomic_number": 6,
             "chirality": "UNSPECIFIED",
             "degree": 0,
@@ -271,7 +276,7 @@ class TestFeaturize:
 
     def test_ammonium_full_vector(self):
         atom = featurize("[NH4+]").atoms[0]
-        assert atom.to_dict() == {
+        assert by_name(atom) == {
             "atomic_number": 7,
             "chirality": "UNSPECIFIED",
             "degree": 0,
@@ -301,6 +306,15 @@ class TestFeaturize:
         graph = featurize("CCO")
         assert graph.feature_matrix().shape == (3, 9)
 
+    def test_feature_matrix_columns_follow_field_order(self):
+        # [nH+] in pyridinium: enums by ordinal, flags as 0/1.
+        row = featurize("c1cc[nH+]cc1").feature_matrix()[3]
+        assert row.tolist() == [7, 0, 2, 1, 1, 0, 2, 1, 1]
+        assert AtomFeatures._fields == (
+            "atomic_number", "chirality", "degree", "formal_charge", "num_hs",
+            "radical_electrons", "hybridization", "is_aromatic", "in_ring",
+        )
+
 
 def load_feature_fixture() -> list[tuple[str, list[dict]]]:
     rows = (FIXTURES / "atom_features_50.tsv").read_text().strip().splitlines()
@@ -316,7 +330,7 @@ class TestFeatureFixture:
             graph = featurize(smiles)
             assert graph.num_atoms == len(expected_atoms), smiles
             for k, (atom, expected) in enumerate(zip(graph.atoms, expected_atoms)):
-                assert atom.to_dict() == expected, f"{smiles} atom {k}"
+                assert by_name(atom) == expected, f"{smiles} atom {k}"
 
     def test_degree_consistency_over_corpus(self):
         for smiles, _ in load_feature_fixture():
@@ -335,3 +349,36 @@ class TestFeatureFixture:
             edges = graph.bond_pairs()
             oracle = ring_flags_oracle(graph.num_atoms, edges)
             assert [a.in_ring for a in graph.atoms] == oracle, smiles
+
+
+# Units of a chain whose ring bonds join random atom pairs at least two
+# apart (fused, spiro and bridged systems among them), and single characters
+# that reach every error path.
+_ATOMS = ["C", "c", "N", "n", "O", "s", "[nH]", "[C@@H]", "[O-]", "C(C)", "c(O)", "C(=O)"]
+_UNITS = _ATOMS + ["=C", "#N", ":c", "/C", "Cl"]
+_CHARS = "CNOSPFBIclnosp[]()=#-:/\\@+H%0123456789."
+
+
+@st.composite
+def ring_smiles(draw) -> str:
+    units = [draw(st.sampled_from(_ATOMS))] + draw(st.lists(st.sampled_from(_UNITS), max_size=11))
+    last = len(units) - 1
+    closures = draw(st.lists(st.tuples(st.integers(0, last), st.integers(2, 11)), max_size=4))
+    for number, (i, gap) in enumerate(closures, start=1):
+        if i + gap <= last:
+            units[i] += str(number)
+            units[i + gap] += str(number)
+    return "".join(units)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ring_smiles(), st.text(alphabet=_CHARS, max_size=14)))
+def test_generated_strings_parse_or_raise_and_ring_flags_match_oracle(smiles):
+    try:
+        graph = featurize(smiles)
+    except SmilesError:
+        return
+    assert graph.feature_matrix().shape == (graph.num_atoms, len(AtomFeatures._fields))
+    if graph.num_atoms <= 12:
+        oracle = ring_flags_oracle(graph.num_atoms, graph.bond_pairs())
+        assert [a.in_ring for a in graph.atoms] == oracle, smiles
