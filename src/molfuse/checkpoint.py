@@ -10,20 +10,25 @@ Layout::
     <raw bytes, one flat array per param line, in header order>
 
 Round-trips are bit-exact: saving and reloading reproduces every array and
-re-saving reproduces the file bytes.  Every malformed file raises
-:class:`DataError`; a fault in a header line names its line number.
+re-saving reproduces the file bytes.  A save writes a temporary file beside
+the target and renames it over the target, so a failed save leaves any
+earlier file as it was.  Every malformed file raises :class:`DataError`; a
+fault in a header line names its line number, and a NaN or infinite value
+names its parameter.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .tensor import Tensor
+from .tensor import Tensor, _all_finite
 
 MAGIC = "molfuse-checkpoint 1"
 DTYPE_LINE = "dtype float64 little-endian"
@@ -39,10 +44,18 @@ def save_params(path: str | Path, params: dict[str, Tensor]) -> None:
         lines.append(f"param {name} {dims}")
     lines.append("end")
     header = ("\n".join(lines) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for p in params.values():
-            fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
+    path = Path(path)
+    # One temporary name per process and thread, so concurrent saves never share one.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for p in params.values():
+                fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
@@ -81,7 +94,10 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
         chunk = blob[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise DataError(f"{path}: truncated data for parameter {name!r}")
-        out[name] = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
+        values = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
+        if not _all_finite(values):
+            raise DataError(f"{path}: non-finite value in parameter {name!r}")
+        out[name] = values
         offset += nbytes
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} trailing bytes after last parameter")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, _all_finite
 
 
 @dataclass
@@ -48,7 +48,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     for name, p in live.items():
         if p.grad.shape != p.values.shape:
             raise ShapeError(f"gradient shape {p.grad.shape} != parameter shape {p.values.shape} for {name!r}")
-        if not np.isfinite(p.grad).all():
+        if not _all_finite(p.grad):
             raise NumericError(f"non-finite gradient for parameter {name!r}; step aborted")
     state.step_count += 1
     t = state.step_count

@@ -112,6 +112,18 @@ class Hybridization(IntEnum):
     OTHER = 6
 
 
+# Hybridization by steric number (neighbours + hydrogens + lone pairs).
+_STERIC_HYBRIDIZATION = {
+    0: Hybridization.S,
+    1: Hybridization.S,
+    2: Hybridization.SP,
+    3: Hybridization.SP2,
+    4: Hybridization.SP3,
+    5: Hybridization.SP3D,
+    6: Hybridization.SP3D2,
+}
+
+
 class BondOrder(IntEnum):
     SINGLE = 0
     DOUBLE = 1
@@ -504,16 +516,7 @@ def infer_hybridization(
         return Hybridization.OTHER
     lone_pairs = max(0, (outer - charge - half_order_sum // 2 - num_hs - radicals) // 2)
     steric = degree + num_hs + lone_pairs
-    table = {
-        0: Hybridization.S,
-        1: Hybridization.S,
-        2: Hybridization.SP,
-        3: Hybridization.SP2,
-        4: Hybridization.SP3,
-        5: Hybridization.SP3D,
-        6: Hybridization.SP3D2,
-    }
-    return table.get(steric, Hybridization.OTHER)
+    return _STERIC_HYBRIDIZATION.get(steric, Hybridization.OTHER)
 
 
 # ---- featurization ----------------------------------------------------------------

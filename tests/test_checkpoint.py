@@ -119,14 +119,41 @@ def test_corrupted_checkpoint_loads_or_raises_data_error(tmp_path_factory, cut, 
         pass
 
 
-def test_non_finite_checkpoint_caught_by_first_op(tmp_path, params):
-    # load_into assigns values without a check; the first op that reads them must raise.
+def test_non_finite_checkpoint_caught_by_first_op(params):
+    # Tensor.values may be reassigned unchecked; the first op that reads a NaN must raise.
     bad = params["gat.0.W"]
     bad.values = bad.values.copy()
     bad.values[2, 5] = np.nan
-    path = tmp_path / "nan.ckpt"
-    save_params(path, params)
-    fresh = {name: T.parameter(np.zeros(p.shape)) for name, p in params.items()}
-    load_into(path, fresh)
     with pytest.raises(NumericError):
-        T.gather_rows(fresh["gat.0.W"], [2])
+        T.gather_rows(bad, [2])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_value_names_its_parameter(tmp_path, params, value):
+    bad = params["head.bias"]
+    bad.values = bad.values.copy()
+    bad.values[1] = value
+    path = tmp_path / "bad.ckpt"
+    save_params(path, params)
+    with pytest.raises(DataError, match="parameter 'head.bias'"):
+        load_arrays(path)
+
+
+class _UnreadableValues:
+    """A parameter whose values fail to read after the header is written."""
+
+    shape = (2,)
+
+    @property
+    def values(self):
+        raise OSError("device lost")
+
+
+def test_failed_save_keeps_old_file(tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    save_params(path, params)
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="device lost"):
+        save_params(path, {**params, "late": _UnreadableValues()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from molfuse import tensor as T
 from molfuse.errors import NumericError, ParameterError, ShapeError
@@ -218,6 +221,43 @@ class TestConstruction:
         t = T.constant(np.ones((2, 3)))
         assert t.size == 6 and t.shape == (2, 3)
 
+    @pytest.mark.parametrize("magnitude", [1e155, 1e200, 1.7e308])
+    def test_huge_finite_accepted(self, magnitude):
+        # The sum of squares overflows here; the exact fallback must still accept.
+        x = np.full((4, 3), magnitude)
+        x[::2] *= -1.0
+        np.testing.assert_array_equal(T.constant(x).values, x)
+        np.testing.assert_array_equal(T.constant(x.T).values, x.T)
+
+
+@st.composite
+def arrays_with_views(draw):
+    """Finite arrays up to +-1e308 of rank 0-3, some entries swapped for NaN or
+    +-inf, seen through a plain, transposed, strided or reversed view."""
+    base = draw(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+        elements=st.floats(-1e308, 1e308),
+    ))
+    if base.size:
+        flat = base.reshape(-1)
+        for at in draw(st.lists(st.integers(0, base.size - 1), max_size=3)):
+            flat[at] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    view = draw(st.sampled_from(["plain", "transposed", "strided", "reversed"]))
+    if view == "transposed":
+        return base.T
+    if view == "strided" and base.ndim:
+        return base[::2]
+    if view == "reversed" and base.ndim:
+        return base[..., ::-1]
+    return base
+
+
+@settings(max_examples=500, deadline=None)
+@given(arrays_with_views())
+def test_finiteness_check_is_exact(arr):
+    assert T._all_finite(arr) == bool(np.isfinite(arr).all())
+
 
 class TestSegmentOps:
     def test_segment_sum_matches_loop(self):
@@ -259,44 +299,65 @@ def segment_softmax_reference(x: np.ndarray, ids: np.ndarray, num_segments: int)
 # Unsorted ids with duplicates; segments 2 and 5 of 7 stay empty.
 SCATTER_IDS = np.array([4, 0, 6, 4, 1, 3, 0, 4, 6])
 SCATTER_SEGMENTS = 7
+# The same ids tiled past the bincount threshold, so nonzero-width rows take the CSC path.
+SCATTER_IDS_TILED = np.tile(SCATTER_IDS, T._BINCOUNT_MAX_ELEMENTS // len(SCATTER_IDS) + 1)
+
+
+def small_and_tiled(trailings):
+    """Each trailing shape over SCATTER_IDS and over SCATTER_IDS_TILED."""
+    return [pytest.param(SCATTER_IDS, t, id=f"trailing{i}") for i, t in enumerate(trailings)] + [
+        pytest.param(SCATTER_IDS_TILED, t, id=f"tiled-trailing{i}") for i, t in enumerate(trailings)
+    ]
+
+
+def scatter_rows(ids: np.ndarray, trailing: tuple, rng) -> np.ndarray:
+    """Random rows in which segment 3 holds only -0.0."""
+    x = rng.normal(size=(len(ids),) + trailing) * 30
+    x[ids == 3] = -0.0
+    return x
+
+
+def assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Same shape and same bytes, so -0.0 and 0.0 differ."""
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 class TestScatterAgainstReference:
     """Segment sums, maxima and the gather_rows backward equal the unbuffered
-    NumPy scatters bit for bit."""
+    NumPy scatters bit for bit, on both sides of the bincount threshold."""
 
-    @pytest.mark.parametrize("trailing", [(), (3,), (2, 3), (0,), (2, 0)])
-    def test_segment_sum(self, trailing):
-        x = stream(12, "scatter-sum").normal(size=(len(SCATTER_IDS),) + trailing) * 1e3
-        out = T.segment_sum(T.constant(x), SCATTER_IDS, SCATTER_SEGMENTS)
+    @pytest.mark.parametrize("ids, trailing", small_and_tiled([(), (3,), (2, 3), (0,), (2, 0)]))
+    def test_segment_sum(self, ids, trailing):
+        x = scatter_rows(ids, trailing, stream(12, "scatter-sum"))
+        out = T.segment_sum(T.constant(x), ids, SCATTER_SEGMENTS)
         assert out.shape == (SCATTER_SEGMENTS,) + trailing
-        np.testing.assert_array_equal(out.values, scatter_sum_reference(SCATTER_IDS, x, SCATTER_SEGMENTS))
+        assert_bits_equal(out.values, scatter_sum_reference(ids, x, SCATTER_SEGMENTS))
 
     def test_segment_sum_no_rows(self):
         out = T.segment_sum(T.constant(np.zeros((0, 3))), np.zeros(0, dtype=int), 4)
-        np.testing.assert_array_equal(out.values, np.zeros((4, 3)))
+        assert_bits_equal(out.values, np.zeros((4, 3)))
 
-    @pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
-    def test_segment_softmax_and_gradient(self, trailing):
+    @pytest.mark.parametrize("ids, trailing", small_and_tiled([(), (3,), (2, 3)]))
+    def test_segment_softmax_and_gradient(self, ids, trailing):
         rng = stream(13, "scatter-softmax")
-        shape = (len(SCATTER_IDS),) + trailing
-        x = rng.normal(size=shape) * 30
-        upstream = rng.normal(size=shape)
-        expected = segment_softmax_reference(x, SCATTER_IDS, SCATTER_SEGMENTS)
+        x = scatter_rows(ids, trailing, rng)
+        upstream = scatter_rows(ids, trailing, rng)
+        expected = segment_softmax_reference(x, ids, SCATTER_SEGMENTS)
         a = T.parameter(x)
-        out = T.segment_softmax(a, SCATTER_IDS, SCATTER_SEGMENTS)
-        np.testing.assert_array_equal(out.values, expected)
+        out = T.segment_softmax(a, ids, SCATTER_SEGMENTS)
+        assert_bits_equal(out.values, expected)
         T.backward(T.sum_all(T.mul(out, T.constant(upstream))))
-        dot = scatter_sum_reference(SCATTER_IDS, upstream * expected, SCATTER_SEGMENTS)
-        np.testing.assert_array_equal(a.grad, expected * (upstream - dot[SCATTER_IDS]))
+        dot = scatter_sum_reference(ids, upstream * expected, SCATTER_SEGMENTS)
+        assert_bits_equal(a.grad, expected * (upstream - dot[ids]))
 
-    @pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
-    def test_gather_rows_gradient(self, trailing):
+    @pytest.mark.parametrize("ids, trailing", small_and_tiled([(), (3,), (2, 3)]))
+    def test_gather_rows_gradient(self, ids, trailing):
         rng = stream(14, "scatter-gather")
         a = T.parameter(rng.normal(size=(SCATTER_SEGMENTS,) + trailing))
-        upstream = rng.normal(size=(len(SCATTER_IDS),) + trailing)
-        T.backward(T.sum_all(T.mul(T.gather_rows(a, SCATTER_IDS), T.constant(upstream))))
-        np.testing.assert_array_equal(a.grad, scatter_sum_reference(SCATTER_IDS, upstream, SCATTER_SEGMENTS))
+        upstream = scatter_rows(ids, trailing, rng)
+        T.backward(T.sum_all(T.mul(T.gather_rows(a, ids), T.constant(upstream))))
+        assert_bits_equal(a.grad, scatter_sum_reference(ids, upstream, SCATTER_SEGMENTS))
 
     def test_gather_rows_gradient_non_contiguous_upstream(self):
         # transpose hands gather_rows a transposed (non-contiguous) gradient.
