@@ -12,9 +12,10 @@ Layout::
 Round-trips are bit-exact: saving and reloading reproduces every array and
 re-saving reproduces the file bytes.  A save writes a temporary file beside
 the target and renames it over the target, so a failed save leaves any
-earlier file as it was.  Every malformed file raises :class:`DataError`; a
-fault in a header line names its line number, and a NaN or infinite value
-names its parameter.
+earlier file as it was.  A save refuses a NaN or infinite value with
+:class:`NumericError` naming its parameter.  Every malformed file raises
+:class:`DataError`; a fault in a header line names its line number, and a
+NaN or infinite value names its parameter.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .tensor import Tensor, _all_finite
 
 MAGIC = "molfuse-checkpoint 1"
@@ -50,8 +51,11 @@ def save_params(path: str | Path, params: dict[str, Tensor]) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            for p in params.values():
-                fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
+            for name, p in params.items():
+                values = np.ascontiguousarray(p.values, dtype="<f8")
+                if not _all_finite(values):
+                    raise NumericError(f"non-finite value in parameter {name!r}")
+                fh.write(values.tobytes())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -400,41 +400,27 @@ def mean_all(a: Tensor) -> Tensor:
     return _make(out, "mean_all", (a,), lambda g: (np.broadcast_to(g / n, a.shape),))
 
 
-def sum_axis(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
-    out = a.values.sum(axis=axis, keepdims=keepdims)
-
-    def rule(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape),)
-
-    return _make(out, "sum_axis", (a,), rule)
+def sum_axis(a: Tensor, axis: int) -> Tensor:
+    out = a.values.sum(axis=axis, keepdims=True)
+    return _make(out, "sum_axis", (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
-def mean_axis(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
+def mean_axis(a: Tensor, axis: int) -> Tensor:
     n = a.shape[axis]
     if n == 0:
         raise ShapeError(f"mean over empty axis {axis} of {a.shape}")
-    out = a.values.mean(axis=axis, keepdims=keepdims)
-
-    def rule(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, a.shape),)
-
-    return _make(out, "mean_axis", (a,), rule)
+    out = a.values.mean(axis=axis, keepdims=True)
+    return _make(out, "mean_axis", (a,), lambda g: (np.broadcast_to(g / n, a.shape),))
 
 
-def max_axis(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
+def max_axis(a: Tensor, axis: int) -> Tensor:
     """Maximum along an axis; ties route the gradient to the first maximum."""
     if a.shape[axis] == 0:
         raise ShapeError(f"max over empty axis {axis} of {a.shape}")
-    out = a.values.max(axis=axis, keepdims=keepdims)
+    out = a.values.max(axis=axis, keepdims=True)
     argmax = np.expand_dims(a.values.argmax(axis=axis), axis)
 
     def rule(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         full = np.zeros_like(a.values)
         np.put_along_axis(full, argmax, np.asarray(g), axis)
         return (full,)

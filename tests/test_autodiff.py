@@ -1,6 +1,7 @@
 """Reverse-mode differentiation: tape structure, accumulation, and the
 finite-difference suite over every registered op."""
 
+import inspect
 import threading
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from molfuse import tensor as T
 from molfuse.errors import ShapeError
-from molfuse.gradcheck import OP_CASES, check_all_ops, check_case
+from molfuse.gradcheck import OP_CASES, check_case
 from molfuse.rng import stream
 from molfuse.tensor import Tape
 
@@ -110,16 +111,17 @@ class TestFiniteDifferenceSuite:
             "cross_entropy", "mse",
         }
         assert set(OP_CASES) == expected
+        public = {
+            name for name, obj in vars(T).items()
+            if inspect.isfunction(obj) and obj.__module__ == T.__name__ and not name.startswith("_")
+        }
+        assert public - {"backward", "constant", "parameter", "zero_grads"} == set(OP_CASES)
 
     @pytest.mark.parametrize("name", sorted(OP_CASES))
     def test_op_gradient(self, name):
-        result = check_case(name, n_points=10, seed=0)
-        assert result.passed, f"{name}: max relative error {result.max_rel_err:.3e}"
-
-    def test_check_all_ops_runs_everything(self):
-        results = check_all_ops(n_points=3, seed=1)
-        assert len(results) == len(OP_CASES)
-        assert all(r.passed for r in results)
+        for seed in (0, 1):
+            err = check_case(name, n_points=10, seed=seed)
+            assert err < 1e-4, f"{name}, seed {seed}: max relative error {err:.3e}"
 
 
 class TestCompositeGradients:

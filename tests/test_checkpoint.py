@@ -130,13 +130,29 @@ def test_non_finite_checkpoint_caught_by_first_op(params):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_non_finite_value_names_its_parameter(tmp_path, params, value):
-    bad = params["head.bias"]
-    bad.values = bad.values.copy()
-    bad.values[1] = value
     path = tmp_path / "bad.ckpt"
     save_params(path, params)
+    blob = bytearray(path.read_bytes())
+    # head.bias[1] follows the header, gat.0.W (9x16), gat.0.Wa (32) and head.bias[0].
+    at = blob.index(b"end\n") + 4 + (9 * 16 + 32 + 1) * 8
+    blob[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="parameter 'head.bias'"):
         load_arrays(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_save_rejects_non_finite_value(tmp_path, params, value):
+    path = tmp_path / "model.ckpt"
+    save_params(path, params)
+    before = path.read_bytes()
+    bad = params["head.bias"]
+    bad.values = bad.values.copy()  # direct assignment skips the construction check
+    bad.values[1] = value
+    with pytest.raises(NumericError, match="parameter 'head.bias'"):
+        save_params(path, params)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 class _UnreadableValues:
