@@ -11,6 +11,9 @@ models), :mod:`molfuse.smiles` (SMILES parsing and atom featurization),
 :mod:`molfuse.optim` (Adam), :mod:`molfuse.checkpoint` (bit-exact parameter
 files), :mod:`molfuse.rng` (named seeded streams) and :mod:`molfuse.errors`.
 The model, the metrics and the command line are not written yet.
+Importing :mod:`molfuse.tensor`, which the optimizer, checkpoint and
+gradcheck modules import, makes glibc keep freed array memory in the
+process heap for the rest of the process (its "Memory" note says why).
 """
 
 __version__ = "0.1.0"

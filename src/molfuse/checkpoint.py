@@ -12,7 +12,8 @@ Layout::
 Round-trips are bit-exact: saving and reloading reproduces every array and
 re-saving reproduces the file bytes.  A save writes a temporary file beside
 the target and renames it over the target, so a failed save leaves any
-earlier file as it was.  A save refuses a NaN or infinite value with
+earlier file as it was; the replacement keeps that file's permission bits.
+A save refuses a NaN or infinite value with
 :class:`NumericError` naming its parameter.  Every malformed file raises
 :class:`DataError`; a fault in a header line names its line number, and a
 NaN or infinite value names its parameter.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import stat
 import threading
 from pathlib import Path
 
@@ -56,6 +58,12 @@ def save_params(path: str | Path, params: dict[str, Tensor]) -> None:
                 if not _all_finite(values):
                     raise NumericError(f"non-finite value in parameter {name!r}")
                 fh.write(values.tobytes())
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:  # a new file keeps the default mode
+            pass
+        else:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage/data problems exit 2, numeric
-failures exit 1.
+Exit-code contract for the command line (``molfuse.cli``, not written yet):
+a :class:`NumericError` exits 1; every other :class:`MolfuseError`, a usage
+or data error, exits 2.
 """
 
 

@@ -1,5 +1,8 @@
 """Checkpoint round trips must be bit-exact."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,3 +176,15 @@ def test_failed_save_keeps_old_file(tmp_path, params):
         save_params(path, {**params, "late": _UnreadableValues()})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+def test_resave_keeps_file_mode(tmp_path, params):
+    path, fresh = tmp_path / "model.ckpt", tmp_path / "fresh.ckpt"
+    save_params(path, params)
+    os.chmod(path, 0o600)
+    save_params(path, params)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    save_params(fresh, params)
+    fresh.with_name("plain").touch()
+    assert fresh.stat().st_mode == fresh.with_name("plain").stat().st_mode

@@ -1,6 +1,7 @@
 """Forward semantics of the tensor ops, checked against independent oracles."""
 
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -9,8 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from molfuse import tensor as T
-from molfuse.errors import NumericError, ParameterError, ShapeError
+from molfuse.errors import DataError, NumericError, ParameterError, ShapeError
 from molfuse.rng import stream
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -401,3 +407,49 @@ class TestFiniteCheckAndGradientContracts:
         assert y.backward_rule is not None
         assert not y.grad.flags.writeable
         assert a.grad.flags.writeable
+
+
+# Each op takes 3 index entries; after truncation every bad input below
+# would be in range, so only the dtype check can catch it.
+INDEX_OPS = {
+    "gather_rows": lambda ids: T.gather_rows(T.constant(np.ones((3, 2))), ids),
+    "segment_sum": lambda ids: T.segment_sum(T.constant(np.ones((3, 2))), ids, 2),
+    "segment_softmax": lambda ids: T.segment_softmax(T.constant(np.ones((3, 2))), ids, 2),
+    "cross_entropy": lambda ids: T.cross_entropy(T.constant(np.ones((3, 2))), ids),
+}
+BAD_INDICES = {"float": [0.9, 1.4, 0.2], "nan": [0.0, np.nan, 1.0], "bool": [True, False, True]}
+
+
+class TestIndexDtypes:
+    @pytest.mark.parametrize("kind", BAD_INDICES)
+    @pytest.mark.parametrize("op", INDEX_OPS)
+    def test_non_integer_indices_rejected(self, op, kind):
+        with pytest.raises(DataError, match="integer dtype"):
+            INDEX_OPS[op](BAD_INDICES[kind])
+
+    @pytest.mark.parametrize("op", INDEX_OPS)
+    def test_unsigned_indices_accepted(self, op):
+        ids = np.array([1, 0, 1], dtype=np.uint32)
+        np.testing.assert_array_equal(INDEX_OPS[op](ids).values, INDEX_OPS[op]([1, 0, 1]).values)
+
+    def test_empty_list_accepted(self):
+        a = T.constant(np.ones((2, 3)))
+        assert T.gather_rows(a, []).shape == (0, 3)
+        assert T.segment_sum(T.constant(np.zeros((0, 3))), [], 2).shape == (2, 3)
+
+
+@pytest.mark.skipif(resource is None or platform.libc_ver()[0] != "glibc", reason="needs getrusage and glibc")
+def test_large_arrays_reuse_freed_memory():
+    """Importing molfuse.tensor keeps freed 64 MiB arrays in the heap, so
+    allocating one again faults in no fresh pages.  Counts faults, not time."""
+
+    def cycle():
+        arr = np.empty(64 << 17)  # 64 MiB of float64
+        arr.fill(1.0)
+        del arr
+
+    cycle()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        cycle()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
