@@ -13,8 +13,10 @@ Round-trips are bit-exact: saving and reloading reproduces every array and
 re-saving reproduces the file bytes.  A save writes a temporary file beside
 the target and renames it over the target, so a failed save leaves any
 earlier file as it was; the replacement keeps that file's permission bits.
-A save refuses a NaN or infinite value with
-:class:`NumericError` naming its parameter.  Every malformed file raises
+A symlinked target is written through, and the link stays.  A save refuses
+a NaN or infinite value with :class:`NumericError` naming its parameter, and
+a name or shape whose header line would not load back with
+:class:`DataError`.  Every malformed file raises
 :class:`DataError`; a fault in a header line names its line number, and a
 NaN or infinite value names its parameter.
 """
@@ -35,19 +37,23 @@ from .tensor import Tensor, _all_finite
 
 MAGIC = "molfuse-checkpoint 1"
 DTYPE_LINE = "dtype float64 little-endian"
-_PARAM_LINE = re.compile(r"param (\S+) (scalar|[0-9]+(?:x[0-9]+)*)")
+# A name is a run of non-space characters UTF-8 can encode (no lone
+# surrogates); numpy 1.x arrays have at most 32 dims.
+_PARAM_LINE = re.compile(r"param ([^\s\ud800-\udfff]+) (scalar|[0-9]+(?:x[0-9]+){0,31})")
 
 
 def save_params(path: str | Path, params: dict[str, Tensor]) -> None:
     lines = [MAGIC, DTYPE_LINE]
     for name, p in params.items():
-        if any(ch.isspace() for ch in name):
-            raise DataError(f"parameter name {name!r} contains whitespace")
         dims = "x".join(str(d) for d in p.shape) if p.shape else "scalar"
-        lines.append(f"param {name} {dims}")
+        line = f"param {name} {dims}"
+        if _PARAM_LINE.fullmatch(line) is None:
+            raise DataError(f"parameter {name!r} of shape {p.shape} has no header line that loads back")
+        lines.append(line)
     lines.append("end")
     header = ("\n".join(lines) + "\n").encode("utf-8")
-    path = Path(path)
+    # Through a symlink, write to its target and leave the link in place.
+    path = Path(path).resolve()
     # One temporary name per process and thread, so concurrent saves never share one.
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
@@ -93,7 +99,7 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
     shapes: dict[str, tuple[int, ...]] = {}
     for number, line in enumerate(header[2:-1], start=3):
         match = _PARAM_LINE.fullmatch(line)
-        if match is None or match[2].count("x") >= 32:  # numpy 1.x arrays have at most 32 dims
+        if match is None:
             raise DataError(f"{path}: line {number}: malformed header line {line!r}")
         name, dims = match.groups()
         if name in shapes:

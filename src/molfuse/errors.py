@@ -26,10 +26,6 @@ class DataError(MolfuseError, ValueError):
     """Input data violates a documented contract."""
 
 
-class ConfigError(MolfuseError, ValueError):
-    """Configuration input is malformed or contains unknown keys."""
-
-
 class MetricError(MolfuseError, ValueError):
     """A metric is undefined for the given inputs."""
 

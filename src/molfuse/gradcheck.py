@@ -6,14 +6,13 @@ draws them.  ``check_case`` weights the op's output by random values, sums
 it, and compares autodiff against finite differences through
 ``max_relative_error``, which also checks whole models.
 
-Kink conventions: cases for leaky_relu/relu/elu/max keep sample points away
-from the kink by construction (margins far larger than the step), matching
-the documented right-hand subgradient choice.
+Kink conventions: cases for leaky_relu/elu keep sample points away from the
+kink by construction (margins far larger than the step), matching the
+documented right-hand subgradient choice.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -28,8 +27,8 @@ _DENOM_FLOOR = 1e-6
 Sampler = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
 
 
-def numeric_partial(make_loss: Callable[[], Tensor], param: Tensor, flat_index: int, h: float) -> float:
-    """Central finite difference of the loss w.r.t. one parameter coordinate.
+def numeric_partial(make_loss: Callable[[], Tensor], param: Tensor, flat_index: int) -> float:
+    """Central finite difference (step ``STEP``) of the loss w.r.t. one coordinate.
 
     ``flat_index`` counts in C order.  The coordinate is written through the
     array itself, so non-contiguous parameters (e.g. built from ``x.T``) are
@@ -38,12 +37,12 @@ def numeric_partial(make_loss: Callable[[], Tensor], param: Tensor, flat_index: 
     values = param.values
     index = np.unravel_index(flat_index, values.shape)
     saved = values[index]
-    values[index] = saved + h
+    values[index] = saved + STEP
     plus = make_loss().item()
-    values[index] = saved - h
+    values[index] = saved - STEP
     minus = make_loss().item()
     values[index] = saved
-    return (plus - minus) / (2.0 * h)
+    return (plus - minus) / (2.0 * STEP)
 
 
 def max_relative_error(
@@ -73,7 +72,7 @@ def max_relative_error(
             k += 1
         name, param = ordered[k]
         a = float(analytic[name].reshape(-1)[pick])
-        n = numeric_partial(make_loss, param, int(pick), STEP)
+        n = numeric_partial(make_loss, param, int(pick))
         err = abs(a - n) / max(abs(a), abs(n), _DENOM_FLOOR)
         worst = max(worst, err)
     zero_grads(p for _, p in ordered)
@@ -92,11 +91,6 @@ def _away_from_zero(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return np.sign(vals) * (np.abs(vals) + 0.1)
 
 
-def _spread(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Values with pairwise gaps >= 0.1, so max/argmax never flips under FD."""
-    return rng.permutation(math.prod(shape)).astype(np.float64).reshape(shape) * 0.1
-
-
 # ---- op cases: name -> (op, input shapes, sampler) ------------------------------
 
 OP_CASES: dict[str, tuple[Callable[..., Tensor], tuple[tuple[int, ...], ...], Sampler]] = {
@@ -106,19 +100,11 @@ OP_CASES: dict[str, tuple[Callable[..., Tensor], tuple[tuple[int, ...], ...], Sa
     "neg": (T.neg, ((2, 5),), _normal),
     "scale": (lambda a: T.scale(a, 1.7), ((2, 5),), _normal),
     "matmul": (T.matmul, ((4, 5), (5, 3)), _normal),
-    "transpose": (T.transpose, ((3, 5),), _normal),
-    "reshape": (lambda a: T.reshape(a, (2, 6)), ((3, 4),), _normal),
     "concat": (lambda a, b: T.concat([a, b], axis=1), ((3, 2), (3, 4)), _normal),
-    "narrow": (lambda a: T.narrow(a, 1, 2, 3), ((5, 6),), _normal),
     # Repeated indices exercise gradient accumulation.
     "gather_rows": (lambda a: T.gather_rows(a, [0, 2, 2, 4, 1]), ((5, 3),), _normal),
     "sum_all": (T.sum_all, ((3, 4),), _normal),
-    "mean_all": (T.mean_all, ((3, 4),), _normal),
-    "sum_axis": (lambda a: T.sum_axis(a, 0), ((3, 4),), _normal),
-    "mean_axis": (lambda a: T.mean_axis(a, 1), ((3, 4),), _normal),
-    "max_axis": (lambda a: T.max_axis(a, 0), ((4, 5),), _spread),
-    "leaky_relu": (lambda a: T.leaky_relu(a, 0.2), ((3, 4),), _away_from_zero),
-    "relu": (T.relu, ((3, 4),), _away_from_zero),
+    "leaky_relu": (T.leaky_relu, ((3, 4),), _away_from_zero),
     "elu": (T.elu, ((3, 4),), _away_from_zero),
     "gelu": (T.gelu, ((3, 4),), _normal),
     "softmax": (T.softmax, ((3, 5),), _normal),

@@ -29,8 +29,8 @@ Conventions:
   returned, which may be read-only or shared with other tensors; read them,
   never write them.  Accumulation is always out of place (``grad + g``).
 * ``no_grad`` is per thread and per async context.
-* Subgradients at kinks (leaky_relu, relu, elu, max) take the right-hand
-  value, so the derivative at exactly 0 is the positive-side one.
+* Subgradients at kinks (leaky_relu, elu) take the right-hand value, so
+  the derivative at exactly 0 is the positive-side one.
 * Stochastic ops take an explicit ``numpy.random.Generator``.
 * Index arguments (``gather_rows`` indices, segment ids, ``cross_entropy``
   labels) must have an integer dtype; a float or boolean array raises
@@ -363,18 +363,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, "matmul", (a, b), rule)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _make(a.values.T, "transpose", (a,), lambda g: (g.T,))
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out = a.values.reshape(shape)
-    return _make(out, "reshape", (a,), lambda g: (g.reshape(a.shape),))
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
@@ -387,24 +375,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, offsets, axis=axis))
 
     return _make(out, "concat", tuple(tensors), rule)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """A contiguous slice of ``length`` entries along ``axis``."""
-    extent = a.shape[axis]
-    if start < 0 or length < 0 or start + length > extent:
-        raise ShapeError(f"narrow [{start}:{start + length}] exceeds axis {axis} of {a.shape}")
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = a.values[index]
-
-    def rule(g):
-        full = np.zeros_like(a.values)
-        full[index] = g
-        return (full,)
-
-    return _make(out, "narrow", (a,), rule)
 
 
 def _index_array(values, name: str) -> Array:
@@ -439,70 +409,28 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(out, "sum_all", (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.size
-    if n == 0:
-        raise ShapeError("mean of an empty tensor")
-    out = a.values.mean()
-    return _make(out, "mean_all", (a,), lambda g: (np.broadcast_to(g / n, a.shape),))
-
-
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    out = a.values.sum(axis=axis, keepdims=True)
-    return _make(out, "sum_axis", (a,), lambda g: (np.broadcast_to(g, a.shape),))
-
-
-def mean_axis(a: Tensor, axis: int) -> Tensor:
-    n = a.shape[axis]
-    if n == 0:
-        raise ShapeError(f"mean over empty axis {axis} of {a.shape}")
-    out = a.values.mean(axis=axis, keepdims=True)
-    return _make(out, "mean_axis", (a,), lambda g: (np.broadcast_to(g / n, a.shape),))
-
-
-def max_axis(a: Tensor, axis: int) -> Tensor:
-    """Maximum along an axis; ties route the gradient to the first maximum."""
-    if a.shape[axis] == 0:
-        raise ShapeError(f"max over empty axis {axis} of {a.shape}")
-    out = a.values.max(axis=axis, keepdims=True)
-    argmax = np.expand_dims(a.values.argmax(axis=axis), axis)
-
-    def rule(g):
-        full = np.zeros_like(a.values)
-        np.put_along_axis(full, argmax, np.asarray(g), axis)
-        return (full,)
-
-    return _make(out, "max_axis", (a,), rule)
-
-
 # ---- nonlinearities -----------------------------------------------------------
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    if not 0.0 < slope < 1.0:
-        raise ParameterError(f"leaky_relu slope must lie in (0, 1), got {slope}")
+def leaky_relu(a: Tensor) -> Tensor:
+    """Leaky ReLU with negative slope 0.2, as in GAT attention scores."""
     pos = a.values >= 0
-    out = np.where(pos, a.values, slope * a.values)
+    out = np.where(pos, a.values, 0.2 * a.values)
 
     def rule(g):
-        return (g * np.where(pos, 1.0, slope),)
+        return (g * np.where(pos, 1.0, 0.2),)
 
     return _make(out, "leaky_relu", (a,), rule)
 
 
-def relu(a: Tensor) -> Tensor:
+def elu(a: Tensor) -> Tensor:
+    """Exponential linear unit with alpha 1."""
     pos = a.values >= 0
-    out = np.where(pos, a.values, 0.0)
-    return _make(out, "relu", (a,), lambda g: (g * pos,))
-
-
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
-    pos = a.values >= 0
-    expm1 = alpha * np.expm1(np.minimum(a.values, 0.0))
+    expm1 = np.expm1(np.minimum(a.values, 0.0))
     out = np.where(pos, a.values, expm1)
 
     def rule(g):
-        return (g * np.where(pos, 1.0, expm1 + alpha),)
+        return (g * np.where(pos, 1.0, expm1 + 1.0),)
 
     return _make(out, "elu", (a,), rule)
 
@@ -539,14 +467,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, "softmax", (a,), rule)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then affine.
 
-    A zero-variance row collapses to the bias.  ``gain`` and ``bias`` must
-    match the last-axis extent.
+    The variance is offset by 1e-5, so a zero-variance row collapses to the
+    bias.  ``gain`` and ``bias`` must match the last-axis extent.
     """
-    if eps <= 0:
-        raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     d = a.shape[-1] if a.ndim else 0
     if d == 0:
         raise ShapeError(f"layer_norm needs a nonempty last axis, got shape {a.shape}")
@@ -555,7 +481,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = a.values.mean(axis=-1, keepdims=True)
     centered = a.values - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     out = xhat * gain.values + bias.values
 

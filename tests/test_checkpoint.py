@@ -1,6 +1,7 @@
 """Checkpoint round trips must be bit-exact."""
 
 import os
+import re
 import stat
 
 import numpy as np
@@ -156,6 +157,36 @@ def test_save_rejects_non_finite_value(tmp_path, params, value):
         save_params(path, params)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        pytest.param("", (2,), id="empty"),
+        pytest.param("a\ud800", (2,), id="lone-surrogate"),
+        pytest.param("two words", (2,), id="whitespace"),
+        pytest.param("deep", (1,) * 33, id="33-dims", marks=pytest.mark.skipif(
+            np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1.x arrays have at most 32 dims")),
+    ],
+)
+def test_save_rejects_header_that_would_not_load(tmp_path, name, shape):
+    with pytest.raises(DataError, match=re.escape(repr(name))):
+        save_params(tmp_path / "model.ckpt", {"ok": T.parameter(1.0), name: T.parameter(np.ones(shape))})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no os.symlink")
+def test_save_through_symlink_writes_target(tmp_path, params):
+    real, link = tmp_path / "real.ckpt", tmp_path / "link.ckpt"
+    save_params(real, {"w": T.parameter(np.zeros(2))})
+    try:
+        os.symlink(real, link)
+    except OSError as exc:  # e.g. Windows without the symlink privilege
+        pytest.skip(f"cannot create a symlink: {exc}")
+    save_params(link, params)
+    assert link.is_symlink()
+    assert list(load_arrays(real)) == list(params)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.ckpt", "real.ckpt"]
 
 
 class _UnreadableValues:

@@ -85,20 +85,16 @@ class TestSoftmax:
 
 class TestLeakyRelu:
     def test_positive_passthrough(self):
-        assert T.leaky_relu(T.constant([2.0]), 0.2).values == [2.0]
+        assert T.leaky_relu(T.constant([2.0])).values == [2.0]
 
     def test_negative_definition(self):
-        np.testing.assert_allclose(T.leaky_relu(T.constant([-1.0]), 0.2).values, [-0.2])
+        np.testing.assert_allclose(T.leaky_relu(T.constant([-1.0])).values, [-0.2])
 
     def test_zero_boundary_gradient(self):
         # The subgradient at exactly 0 is fixed to the right-hand value 1.
         x = T.parameter([0.0])
-        T.backward(T.sum_all(T.leaky_relu(x, 0.2)))
+        T.backward(T.sum_all(T.leaky_relu(x)))
         np.testing.assert_array_equal(x.grad, [1.0])
-
-    def test_slope_range(self):
-        with pytest.raises(ParameterError):
-            T.leaky_relu(T.constant([1.0]), 1.5)
 
 
 class TestLayerNorm:
@@ -112,8 +108,8 @@ class TestLayerNorm:
 
     def test_already_normalized_row(self):
         g, b = self._gain_bias(2)
-        out = T.layer_norm(T.constant([[1.0, -1.0]]), g, b, eps=1e-12)
-        np.testing.assert_allclose(out.values, [[1.0, -1.0]], atol=1e-6)
+        out = T.layer_norm(T.constant([[1.0, -1.0]]), g, b)
+        np.testing.assert_allclose(out.values, np.array([[1.0, -1.0]]) / np.sqrt(1.0 + 1e-5), atol=1e-12)
 
     def test_zero_gain_gives_bias(self):
         g, b = self._gain_bias(4, gain=0.0, bias=0.7)
@@ -125,9 +121,10 @@ class TestLayerNorm:
         rng = stream(4, "ln-moments")
         x = rng.normal(size=(30, 16)) * 3.0 + 1.0
         g, b = self._gain_bias(16)
-        out = T.layer_norm(T.constant(x), g, b, eps=1e-10).values
+        out = T.layer_norm(T.constant(x), g, b).values
         assert np.abs(out.mean(axis=1)).max() < 1e-6
-        np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-4)
+        var = x.var(axis=1)
+        np.testing.assert_allclose(out.var(axis=1), var / (var + 1e-5), atol=1e-12)
 
     def test_empty_last_axis(self):
         g, b = self._gain_bias(0)
@@ -366,13 +363,15 @@ class TestScatterAgainstReference:
         assert_bits_equal(a.grad, scatter_sum_reference(ids, upstream, SCATTER_SEGMENTS))
 
     def test_gather_rows_gradient_non_contiguous_upstream(self):
-        # transpose hands gather_rows a transposed (non-contiguous) gradient.
+        # mul's gradient takes the Fortran order of a transposed constant, so
+        # gather_rows receives a non-C-contiguous gradient.
         rng = stream(15, "scatter-gather-t")
         a = T.parameter(rng.normal(size=(SCATTER_SEGMENTS, 3)))
-        upstream = rng.normal(size=(3, len(SCATTER_IDS)))
-        picked = T.transpose(T.gather_rows(a, SCATTER_IDS))
+        upstream = rng.normal(size=(3, len(SCATTER_IDS))).T
+        picked = T.gather_rows(a, SCATTER_IDS)
         T.backward(T.sum_all(T.mul(picked, T.constant(upstream))))
-        np.testing.assert_array_equal(a.grad, scatter_sum_reference(SCATTER_IDS, upstream.T, SCATTER_SEGMENTS))
+        assert not picked.grad.flags.c_contiguous
+        assert_bits_equal(a.grad, scatter_sum_reference(SCATTER_IDS, upstream, SCATTER_SEGMENTS))
 
     def test_gather_rows_empty_index(self):
         a = T.parameter(np.ones((4, 3)))
