@@ -10,21 +10,23 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 from .tensor import Tensor, _all_finite
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter.
 
-    Invariants: learning_rate is finite and >= 0, 0 <= beta1, beta2 < 1
-    and epsilon > 0; moment arrays match their parameter shapes.
+    Invariants: learning_rate is finite and >= 0; moment arrays match their
+    parameter shapes.  The decay rates and epsilon are the module constants
+    ``BETA1``, ``BETA2`` and ``EPSILON``.
     ``step_count`` increments before bias correction, so the first step
     uses t = 1.
     """
 
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
@@ -32,10 +34,6 @@ class AdamState:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ParameterError(f"Adam learning_rate must be finite and non-negative, got {self.learning_rate}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ParameterError("Adam betas must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ParameterError("Adam epsilon must be positive")
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
@@ -52,16 +50,16 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
             raise NumericError(f"non-finite gradient for parameter {name!r}; step aborted")
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     for name, p in live.items():
         g = p.grad
         m = state.first_moment.setdefault(name, np.zeros_like(p.values))
         v = state.second_moment.setdefault(name, np.zeros_like(p.values))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / bias1
         v_hat = v / bias2
-        p.values = p.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        p.values = p.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)

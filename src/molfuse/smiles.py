@@ -9,6 +9,11 @@ parsed and discarded), and ring closures including %nn.  Errors carry the
 character offset; problems only detectable at end of input (unclosed branch,
 bracket or ring) report the end-of-string offset.
 
+The grammar lives in two compiled patterns, built from the element tables.
+``_TOKEN`` splits a string into tokens: an organic atom, a whole bracket atom,
+a bond, a branch parenthesis, a ring label (a digit or %nn) or one stray
+character, which raises.  ``_BRACKET`` reads the fields of a bracket atom.
+
 Featurization follows the usual cheminformatics conventions:
 
 * implicit hydrogens = default valence minus the bond-order sum, where an
@@ -39,6 +44,7 @@ The field order of :class:`AtomFeatures` is the column order of
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -185,6 +191,43 @@ class MolecularGraph:
         return np.array(self.atoms, dtype=np.float64)
 
 
+# ---- grammar --------------------------------------------------------------------
+
+
+def _alternation(symbols) -> str:
+    """Regex alternatives over ``symbols``, longest first so ``Cl`` wins over ``C``."""
+    return "|".join(sorted(symbols, key=lambda sym: (-len(sym), sym)))
+
+
+# One token per match.  Groups: 1 organic atom, 2 bracket atom (without its ']'
+# when unterminated), 3 bond, 4 '(', 5 ')', 6 ring label, 7 any other character.
+# [0-9], not \d, which also matches digits outside ASCII; re.S lets a newline
+# reach group 7.
+_TOKEN = re.compile(
+    f"({_alternation(ORGANIC_SUBSET | AROMATIC_ORGANIC)})"
+    r"|(\[[^\]]*\]?)"
+    f"|([{re.escape(''.join(_BOND_SYMBOLS))}])"
+    r"|(\()|(\))|([0-9]|%[0-9][0-9])|(.)",
+    re.S,
+)
+
+# The inside of a bracket atom, fields in OpenSMILES order.  Groups: 1 isotope,
+# 2 symbol, 3 chirality, 4-5 its extended class and number, 6 hydrogen-count
+# digits, 7 signed charge, 8 repeated sign, 9 atom class.  Every part after the
+# isotope is optional, so a match ends at the first character the grammar
+# disallows.
+_BRACKET = re.compile(
+    r"([0-9]*)"
+    f"({_alternation(SYMBOL_TO_NUMBER.keys() | AROMATIC_BRACKET)})?"
+    f"(@(?:@|({'|'.join(_CHIRAL_CLASSES)})([0-9]+))?)?"
+    r"(?:H([0-9]*))?"
+    r"(?:([+-][0-9]+)|(\++|-+))?"
+    r"(:[0-9]*)?"
+)
+
+_CHIRALITY = {None: Chirality.UNSPECIFIED, "@": Chirality.CCW, "@@": Chirality.CW}
+
+
 # ---- raw parse structures -------------------------------------------------------
 
 
@@ -192,9 +235,8 @@ class MolecularGraph:
 class RawAtom:
     symbol: str  # capitalized element symbol
     aromatic: bool
-    bracket: bool
     charge: int = 0
-    explicit_hs: int | None = None  # None only for organic-subset atoms
+    explicit_hs: int | None = None  # None only for organic-subset atoms (implicit hydrogens)
     chirality: Chirality = Chirality.UNSPECIFIED
     offset: int = 0
 
@@ -208,101 +250,24 @@ class ParsedMolecule:
     in_ring: list[bool]
 
 
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _parse_bracket(s: str, start: int) -> tuple[RawAtom, int]:
-    """Parse a bracket atom starting at the '[' in position ``start``.
-
-    Returns the atom and the index just past the closing ']'.  Field order
-    is isotope, symbol, chirality, hydrogen count, charge, atom class.
-    """
-    end = s.find("]", start + 1)
-    if end < 0:
-        raise SmilesError("unterminated bracket atom", len(s))
-    i = start + 1
-    # isotope (discarded)
-    while i < end and _is_digit(s[i]):
-        i += 1
-    sym_start = i
-    aromatic = False
-    symbol = ""
-    if i < end and s[i].isupper():
-        if i + 1 < end and s[i + 1].islower() and s[i : i + 2] in SYMBOL_TO_NUMBER:
-            symbol = s[i : i + 2]
-            i += 2
-        elif s[i] in SYMBOL_TO_NUMBER:
-            symbol = s[i]
-            i += 1
-    elif i < end and s[i].islower():
-        if s[i : i + 2] in AROMATIC_BRACKET:
-            symbol = s[i : i + 2].capitalize()
-            aromatic = True
-            i += 2
-        elif s[i] in AROMATIC_ORGANIC:
-            symbol = s[i].upper()
-            aromatic = True
-            i += 1
-    if not symbol:
-        raise SmilesError("unknown atom symbol in bracket", sym_start)
-    atom = RawAtom(symbol=symbol, aromatic=aromatic, bracket=True, explicit_hs=0, offset=start)
-    # chirality
-    if i < end and s[i] == "@":
-        i += 1
-        tag = s[i : i + 2]
-        if i < end and s[i] == "@":
-            atom.chirality = Chirality.CW
-            i += 1
-        elif tag in _CHIRAL_CLASSES and i + 2 < end and _is_digit(s[i + 2]):
-            i += 2
-            num_start = i
-            while i < end and _is_digit(s[i]):
-                i += 1
-            if not 1 <= int(s[num_start:i]) <= _CHIRAL_CLASSES[tag]:
-                raise SmilesError(f"undefined chirality class @{tag}{s[num_start:i]}", num_start)
-            atom.chirality = Chirality.OTHER
-        else:
-            # a following H is the hydrogen count, not a class
-            atom.chirality = Chirality.CCW
-    # hydrogen count
-    if i < end and s[i] == "H":
-        i += 1
-        count = 1
-        if i < end and _is_digit(s[i]):
-            num_start = i
-            while i < end and _is_digit(s[i]):
-                i += 1
-            count = int(s[num_start:i])
-        atom.explicit_hs = count
-    # charge
-    if i < end and s[i] in "+-":
-        sign = 1 if s[i] == "+" else -1
-        ch = s[i]
-        i += 1
-        if i < end and _is_digit(s[i]):
-            num_start = i
-            while i < end and _is_digit(s[i]):
-                i += 1
-            atom.charge = sign * int(s[num_start:i])
-        else:
-            magnitude = 1
-            while i < end and s[i] == ch:
-                magnitude += 1
-                i += 1
-            atom.charge = sign * magnitude
-    # atom class (discarded)
-    if i < end and s[i] == ":":
-        i += 1
-        if i >= end or not _is_digit(s[i]):
-            raise SmilesError("atom class marker without digits", i)
-        while i < end and _is_digit(s[i]):
-            i += 1
-    if i != end:
-        raise SmilesError(f"unexpected character {s[i]!r} in bracket atom", i)
-    if atom.explicit_hs is not None and atom.explicit_hs > 8:
-        raise ValenceError(f"hydrogen count {atom.explicit_hs} out of range", start)
-    return atom, end + 1
+def _parse_bracket(s: str, start: int, end: int) -> RawAtom:
+    """Parse the bracket atom between the '[' at ``start`` and the ']' at ``end``."""
+    m = _BRACKET.match(s, start + 1, end)
+    isotope, symbol, chiral, tag, number, hs, signed, signs, atom_class = m.groups()
+    if symbol is None:
+        raise SmilesError("unknown atom symbol in bracket", start + 1 + len(isotope))
+    if tag is not None and not 1 <= int(number) <= _CHIRAL_CLASSES[tag]:
+        raise SmilesError(f"undefined chirality class @{tag}{number}", m.start(5))
+    if atom_class == ":":
+        raise SmilesError("atom class marker without digits", m.end(9))
+    if m.end() != end:
+        raise SmilesError(f"unexpected character {s[m.end()]!r} in bracket atom", m.end())
+    explicit_hs = 0 if hs is None else int(hs or 1)
+    if explicit_hs > 8:
+        raise ValenceError(f"hydrogen count {explicit_hs} out of range", start)
+    charge = int(signed or 0) if signs is None else signs.count("+") - signs.count("-")
+    chirality = _CHIRALITY.get(chiral, Chirality.OTHER)
+    return RawAtom(symbol.capitalize(), symbol.islower(), charge, explicit_hs, chirality, start)
 
 
 def parse_smiles(s: str) -> ParsedMolecule:
@@ -316,102 +281,71 @@ def parse_smiles(s: str) -> ParsedMolecule:
     stack: list[int | None] = []
     open_rings: dict[int, tuple[int, BondOrder | None]] = {}  # number -> (atom, written order)
 
-    def add_bond(i: int, j: int, order: BondOrder | None, offset: int) -> None:
-        if i == j:
-            raise SmilesError("ring closure bonds an atom to itself", offset)
-        key = (min(i, j), max(i, j))
-        if key in bonds:
-            raise SmilesError("duplicate bond between atoms", offset)
-        bonds[key] = order
-
-    def attach(new_index: int, offset: int) -> None:
-        nonlocal pending, prev
-        if prev is not None:
-            if pending is not None:
-                add_bond(prev, new_index, pending[0], pending[1])
-                pending = None
+    for m in _TOKEN.finditer(s):
+        kind, token, i = m.lastindex, m[0], m.start()
+        if kind <= 2:
+            if kind == 1:
+                atom = RawAtom(token.capitalize(), token.islower(), offset=i)
+            elif token[-1] != "]":
+                raise SmilesError("unterminated bracket atom", len(s))
             else:
-                add_bond(prev, new_index, None, offset)
-        prev = new_index
-
-    i = 0
-    n = len(s)
-    while i < n:
-        ch = s[i]
-        if ch in _BOND_SYMBOLS:
+                atom = _parse_bracket(s, i, m.end() - 1)
+            if prev is not None:  # prev < the new index, and nothing bonds to it yet
+                bonds[prev, len(atoms)] = pending[0] if pending is not None else None
+                pending = None
+            prev = len(atoms)
+            atoms.append(atom)
+        elif kind == 3:
             if pending is not None:
                 raise SmilesError("dangling bond symbol", pending[1])
             if prev is None:
                 raise SmilesError("bond symbol before any atom", i)
-            pending = (_BOND_SYMBOLS[ch], i)
-            i += 1
-        elif ch == "(":
+            pending = (_BOND_SYMBOLS[token], i)
+        elif kind == 4:
             if prev is None:
                 raise SmilesError("branch opens before any atom", i)
             if pending is not None:
                 raise SmilesError("dangling bond symbol", pending[1])
             stack.append(prev)
-            i += 1
-        elif ch == ")":
+        elif kind == 5:
             if not stack:
                 raise SmilesError("unmatched closing parenthesis", i)
             if pending is not None:
                 raise SmilesError("dangling bond symbol", pending[1])
             prev = stack.pop()
-            i += 1
-        elif _is_digit(ch) or ch == "%":
-            if ch == "%":
-                if i + 2 >= n or not (_is_digit(s[i + 1]) and _is_digit(s[i + 2])):
-                    raise SmilesError("malformed %nn ring closure", i)
-                number = int(s[i + 1 : i + 3])
-                width = 3
-            else:
-                number = int(ch)
-                width = 1
+        elif kind == 6:
             if prev is None:
                 raise SmilesError("ring closure before any atom", i)
-            if number in open_rings:
-                other, other_order = open_rings.pop(number)
-                here_order = pending[0] if pending is not None else None
-                if other_order is not None and here_order is not None and other_order != here_order:
-                    raise SmilesError("conflicting bond orders on ring closure", i)
-                add_bond(prev, other, here_order if here_order is not None else other_order, i)
-                pending = None
-            else:
-                open_rings[number] = (prev, pending[0] if pending else None)
-                pending = None
-            i += width
-        elif ch == "[":
-            atom, nxt = _parse_bracket(s, i)
-            atoms.append(atom)
-            attach(len(atoms) - 1, i)
-            i = nxt
-        elif ch.isalpha():
-            if ch.isupper():
-                two = s[i : i + 2]
-                if two in ("Cl", "Br"):
-                    symbol, width = two, 2
-                elif ch in ORGANIC_SUBSET:
-                    symbol, width = ch, 1
-                else:
-                    raise SmilesError(f"unknown atom symbol {ch!r}", i)
-                atoms.append(RawAtom(symbol=symbol, aromatic=False, bracket=False, offset=i))
-            else:
-                if ch not in AROMATIC_ORGANIC:
-                    raise SmilesError(f"unknown atom symbol {ch!r}", i)
-                atoms.append(RawAtom(symbol=ch.upper(), aromatic=True, bracket=False, offset=i))
-                width = 1
-            attach(len(atoms) - 1, i)
-            i += width
+            number = int(token[-2:])
+            order = pending[0] if pending is not None else None
+            pending = None
+            if number not in open_rings:
+                open_rings[number] = (prev, order)
+                continue
+            other, other_order = open_rings.pop(number)
+            if order is None:
+                order = other_order
+            elif other_order is not None and other_order != order:
+                raise SmilesError("conflicting bond orders on ring closure", i)
+            if other == prev:
+                raise SmilesError("ring closure bonds an atom to itself", i)
+            key = (min(prev, other), max(prev, other))
+            if key in bonds:
+                raise SmilesError("duplicate bond between atoms", i)
+            bonds[key] = order
+        elif token == "%":
+            raise SmilesError("malformed %nn ring closure", i)
+        elif token.isalpha():
+            raise SmilesError(f"unknown atom symbol {token!r}", i)
         else:
-            raise SmilesError(f"unexpected character {ch!r}", i)
+            raise SmilesError(f"unexpected character {token!r}", i)
 
     if pending is not None:
         raise SmilesError("dangling bond symbol", pending[1])
     if stack:
-        raise SmilesError("unclosed branch parenthesis", n)
+        raise SmilesError("unclosed branch parenthesis", len(s))
     if open_rings:
-        raise SmilesError("unmatched ring-closure digit", n)
+        raise SmilesError("unmatched ring-closure digit", len(s))
     if not atoms:
         raise SmilesError("no atoms in SMILES string", 0)
 
@@ -493,9 +427,9 @@ def _radical_electrons(atom: RawAtom, half_order_sum: int) -> int:
     Raises :class:`ValenceError` when a non-aromatic atom's bonds and
     hydrogens exceed its largest default valence.
     """
-    if not atom.bracket or atom.charge != 0 or atom.symbol not in DEFAULT_VALENCES:
+    if atom.explicit_hs is None or atom.charge != 0 or atom.symbol not in DEFAULT_VALENCES:
         return 0
-    filled = half_order_sum + 2 * (atom.explicit_hs or 0)
+    filled = half_order_sum + 2 * atom.explicit_hs
     return implicit_hydrogens(atom.symbol, atom.aromatic, filled, atom.offset)
 
 
@@ -537,10 +471,10 @@ def featurize(s: str) -> MolecularGraph:
     features: list[AtomFeatures] = []
     for idx, atom in enumerate(mol.atoms):
         half_sum = half_sums[idx]
-        if atom.bracket:
-            num_hs = atom.explicit_hs or 0
-        else:
+        if atom.explicit_hs is None:
             num_hs = implicit_hydrogens(atom.symbol, atom.aromatic, half_sum, atom.offset)
+        else:
+            num_hs = atom.explicit_hs
         radicals = _radical_electrons(atom, half_sum)
         hybrid = infer_hybridization(
             atom.symbol,

@@ -143,20 +143,55 @@ class TestParser:
         assert orders[(1, 2)] is BondOrder.DOUBLE
 
 
+# Class and message of each row of invalid_smiles.tsv, read off the parser's
+# raise statements; the offsets stay in the fixture.
+NEGATIVE_CORPUS_ERRORS = {
+    "C[C": (SmilesError, "unterminated bracket atom"),
+    "C[Q]": (SmilesError, "unknown atom symbol in bracket"),
+    "[C@TH3]": (SmilesError, "undefined chirality class @TH3"),
+    "[C:]": (SmilesError, "atom class marker without digits"),
+    "[C@XH]": (SmilesError, "unexpected character 'X' in bracket atom"),
+    "[C@@@H]": (SmilesError, "unexpected character '@' in bracket atom"),
+    "C[CH9]": (ValenceError, "hydrogen count 9 out of range"),
+    "C11": (SmilesError, "ring closure bonds an atom to itself"),
+    "C12CC12": (SmilesError, "duplicate bond between atoms"),
+    "C==C": (SmilesError, "dangling bond symbol"),
+    "=C": (SmilesError, "bond symbol before any atom"),
+    "(C)C": (SmilesError, "branch opens before any atom"),
+    "CC)": (SmilesError, "unmatched closing parenthesis"),
+    "C%1C": (SmilesError, "malformed %nn ring closure"),
+    "1CC": (SmilesError, "ring closure before any atom"),
+    "C=1CCCCC#1": (SmilesError, "conflicting bond orders on ring closure"),
+    "C$C": (SmilesError, "unexpected character '$'"),
+    "CX": (SmilesError, "unknown atom symbol 'X'"),
+    "CCq": (SmilesError, "unknown atom symbol 'q'"),
+    "CC(C": (SmilesError, "unclosed branch parenthesis"),
+    "C1CC": (SmilesError, "unmatched ring-closure digit"),
+    "FC(F)(F)(F)F": (ValenceError, "C needs valence 5, above its maximum 4"),
+    "C[CH4]": (ValenceError, "C needs valence 5, above its maximum 4"),
+}
+
+
 class TestParserErrors:
     def test_negative_corpus_has_positioned_errors(self):
         rows = (FIXTURES / "invalid_smiles.tsv").read_text().strip().splitlines()
         assert len(rows) >= 12
+        assert sorted(row.split("\t")[0] for row in rows) == sorted(NEGATIVE_CORPUS_ERRORS)
         for row in rows:
             smiles, offset = row.split("\t")
             with pytest.raises(SmilesError) as err:
                 featurize(smiles)
             assert err.value.offset == int(offset), f"offset mismatch for {smiles!r}"
+            cls, message = NEGATIVE_CORPUS_ERRORS[smiles]
+            assert type(err.value) is cls, smiles
+            assert str(err.value) == f"{message} (offset {offset})"
 
     def test_empty_string(self):
         with pytest.raises(SmilesError) as err:
             featurize("")
         assert err.value.offset == 0
+        assert type(err.value) is SmilesError
+        assert str(err.value) == "empty SMILES string (offset 0)"
 
     def test_valence_error_is_smiles_error(self):
         with pytest.raises(ValenceError):
@@ -371,8 +406,21 @@ def ring_smiles(draw) -> str:
     return "".join(units)
 
 
+# Bracket atoms drawn field by field, so generated strings reach every branch
+# of the bracket grammar, its errors among them; _CHARS seldom builds one.
+_BRACKET_ATOMS = st.tuples(
+    st.sampled_from(["", "2", "13"]),
+    st.sampled_from(["C", "N", "O", "S", "Cl", "Se", "Zn", "H", "c", "n", "s", "se", "as", "te", "X", "q"]),
+    st.sampled_from(["", "@", "@@", "@@@", "@TH0", "@TH1", "@TH2", "@TH3", "@OH31"]),
+    st.sampled_from(["", "H", "H12"]),
+    st.sampled_from(["", "+", "++", "-3", "+-"]),
+    st.sampled_from(["", ":", ":7"]),
+).map(lambda fields: "[" + "".join(fields) + "]")
+_BRACKET_SMILES = st.lists(st.one_of(_BRACKET_ATOMS, st.sampled_from(_UNITS)), min_size=1, max_size=4).map("".join)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(ring_smiles(), st.text(alphabet=_CHARS, max_size=14)))
+@given(st.one_of(ring_smiles(), st.text(alphabet=_CHARS, max_size=14), _BRACKET_SMILES))
 def test_generated_strings_parse_or_raise_and_ring_flags_match_oracle(smiles):
     try:
         graph = featurize(smiles)
