@@ -4,10 +4,10 @@ The parser covers the organic subset (B C N O P S F Cl Br I), lowercase
 aromatic forms (b c n o p s, plus se/as/te inside brackets), bracket atoms
 with isotope, chirality (@ / @@, and the extended classes @TH1-2, @AL1-2,
 @SP1-3, @TB1-20 and @OH1-30, all read as OTHER), explicit hydrogen counts
-and charges, branches, bond symbols (- = # : / \\, with slash stereo
-parsed and discarded), and ring closures including %nn.  Errors carry the
-character offset; problems only detectable at end of input (unclosed branch,
-bracket or ring) report the end-of-string offset.
+(one digit) and charges (-15 to +15), branches, bond symbols (- = # : / \\,
+with slash stereo parsed and discarded), and ring closures including %nn.
+Errors carry the character offset; problems only detectable at end of input
+(unclosed branch, bracket or ring) report the end-of-string offset.
 
 The grammar lives in two compiled patterns, built from the element tables.
 ``_TOKEN`` splits a string into tokens: an organic atom, a whole bracket atom,
@@ -21,11 +21,12 @@ Featurization follows the usual cheminformatics conventions:
   atoms use their lowest default valence and clamp at zero (so furan O and
   thiophene S carry no hydrogens), while non-aromatic atoms pick the
   smallest admissible valence and raise :class:`ValenceError` if none fits;
-* ring membership means "lies on some cycle".  ``parse_smiles`` finds the
-  ring edges (the non-bridges) with one bridge search per molecule; an atom
-  is in a ring when a ring edge touches it, and a default (unwritten) bond
-  is aromatic when both its atoms are aromatic and it is a ring edge,
-  otherwise single (the biphenyl case);
+* ring membership means "lies on some cycle".  The chain and branch bonds
+  form a tree, so ``parse_smiles`` marks as ring edges each ring-closure bond
+  and the tree path between its two atoms; an atom is in a ring when a ring
+  edge touches it, and a default (unwritten) bond is aromatic when both its
+  atoms are aromatic and it is a ring edge, otherwise single (the biphenyl
+  case);
 * radical electrons are the valence an uncharged bracket atom leaves
   unfilled, by the same rule as implicit hydrogens: bonds plus written
   hydrogens, aromatic atoms against their lowest default valence clamped at
@@ -213,15 +214,16 @@ _TOKEN = re.compile(
 
 # The inside of a bracket atom, fields in OpenSMILES order.  Groups: 1 isotope,
 # 2 symbol, 3 chirality, 4-5 its extended class and number, 6 hydrogen-count
-# digits, 7 signed charge, 8 repeated sign, 9 atom class.  Every part after the
+# digit, 7 signed charge, 8 repeated sign, 9 atom class.  Every part after the
 # isotope is optional, so a match ends at the first character the grammar
-# disallows.
+# disallows.  The grammar bounds the digits ``int()`` reads: one for the
+# hydrogen count, two for a chirality class number or a charge.
 _BRACKET = re.compile(
     r"([0-9]*)"
     f"({_alternation(SYMBOL_TO_NUMBER.keys() | AROMATIC_BRACKET)})?"
-    f"(@(?:@|({'|'.join(_CHIRAL_CLASSES)})([0-9]+))?)?"
-    r"(?:H([0-9]*))?"
-    r"(?:([+-][0-9]+)|(\++|-+))?"
+    f"(@(?:@|({'|'.join(_CHIRAL_CLASSES)})([0-9][0-9]?))?)?"
+    r"(?:H([0-9]?))?"
+    r"(?:([+-][0-9][0-9]?)|(\++|-+))?"
     r"(:[0-9]*)?"
 )
 
@@ -266,6 +268,8 @@ def _parse_bracket(s: str, start: int, end: int) -> RawAtom:
     if explicit_hs > 8:
         raise ValenceError(f"hydrogen count {explicit_hs} out of range", start)
     charge = int(signed or 0) if signs is None else signs.count("+") - signs.count("-")
+    if abs(charge) > 15:
+        raise SmilesError(f"charge {charge:+d} out of range", m.start(7 if signs is None else 8))
     chirality = _CHIRALITY.get(chiral, Chirality.OTHER)
     return RawAtom(symbol.capitalize(), symbol.islower(), charge, explicit_hs, chirality, start)
 
@@ -280,6 +284,8 @@ def parse_smiles(s: str) -> ParsedMolecule:
     pending: tuple[BondOrder, int] | None = None  # (order, offset of symbol)
     stack: list[int | None] = []
     open_rings: dict[int, tuple[int, BondOrder | None]] = {}  # number -> (atom, written order)
+    parent: list[int | None] = []  # the atom each atom bonds back to; a tree with parent < child
+    closures: list[tuple[int, int]] = []
 
     for m in _TOKEN.finditer(s):
         kind, token, i = m.lastindex, m[0], m.start()
@@ -293,6 +299,7 @@ def parse_smiles(s: str) -> ParsedMolecule:
             if prev is not None:  # prev < the new index, and nothing bonds to it yet
                 bonds[prev, len(atoms)] = pending[0] if pending is not None else None
                 pending = None
+            parent.append(prev)
             prev = len(atoms)
             atoms.append(atom)
         elif kind == 3:
@@ -333,6 +340,7 @@ def parse_smiles(s: str) -> ParsedMolecule:
             if key in bonds:
                 raise SmilesError("duplicate bond between atoms", i)
             bonds[key] = order
+            closures.append(key)
         elif token == "%":
             raise SmilesError("malformed %nn ring closure", i)
         elif token.isalpha():
@@ -349,7 +357,16 @@ def parse_smiles(s: str) -> ParsedMolecule:
     if not atoms:
         raise SmilesError("no atoms in SMILES string", 0)
 
-    ring_edges = _non_bridge_edges(len(atoms), list(bonds))
+    # A bond is on a ring iff it closes one or lies on the tree path between a
+    # closure's atoms.  The larger index is never the other's ancestor, so
+    # stepping it up the tree meets the common ancestor.
+    ring_edges = set(closures)
+    for a, b in closures:
+        while a != b:
+            if a < b:
+                a, b = b, a
+            ring_edges.add((parent[a], a))
+            a = parent[a]
     in_ring = [False] * len(atoms)
     for a, b in ring_edges:
         in_ring[a] = in_ring[b] = True
@@ -360,46 +377,6 @@ def parse_smiles(s: str) -> ParsedMolecule:
             order = BondOrder.AROMATIC if aromatic else BondOrder.SINGLE
         bond_list.append((a, b, order))
     return ParsedMolecule(atoms=atoms, bonds=bond_list, in_ring=in_ring)
-
-
-# ---- ring perception ------------------------------------------------------------
-
-
-def _non_bridge_edges(num_atoms: int, edges: list[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Edges lying on at least one cycle, via iterative bridge finding."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_atoms)]
-    for eid, (a, b) in enumerate(edges):
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
-    disc = [-1] * num_atoms
-    low = [0] * num_atoms
-    bridges: set[int] = set()
-    counter = 0
-    for root in range(num_atoms):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # node, entry edge id, child cursor
-        while stack:
-            node, via, cursor = stack.pop()
-            if cursor == 0:
-                disc[node] = low[node] = counter
-                counter += 1
-            if cursor < len(adj[node]):
-                stack.append((node, via, cursor + 1))
-                child, eid = adj[node][cursor]
-                if eid == via:
-                    continue
-                if disc[child] == -1:
-                    stack.append((child, eid, 0))
-                else:
-                    low[node] = min(low[node], disc[child])
-            else:
-                if via != -1:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > disc[parent]:
-                        bridges.add(via)
-    return {edge for eid, edge in enumerate(edges) if eid not in bridges}
 
 
 # ---- valence model ---------------------------------------------------------------

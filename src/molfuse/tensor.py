@@ -226,19 +226,13 @@ def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRu
 # ---- tape and backward pass -------------------------------------------------
 
 
-class Tape:
+class Tape(list):
     """The recorded ancestry of a tensor: its op outputs in topological order.
 
     Every tensor's recorded inputs appear before it, so a single reverse
     sweep propagates gradients correctly and visits each recorded operation
     exactly once.
     """
-
-    def __init__(self, entries: list[Tensor]):
-        self.entries = entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     @classmethod
     def trace(cls, root: Tensor) -> "Tape":
@@ -268,9 +262,8 @@ def backward(loss: Tensor) -> None:
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    tape = Tape.trace(loss)
     _accumulate(loss, np.ones_like(loss.values))
-    for t in reversed(tape.entries):
+    for t in reversed(Tape.trace(loss)):
         if t.grad is None:
             continue
         grads = t.backward_rule(t.grad)

@@ -84,9 +84,9 @@ class TestTape:
         d = T.add(c, a)
         loss = T.sum_all(d)
         tape = Tape.trace(loss)
-        assert tape.entries[-1] is loss and len(tape) == 3  # mul, add, sum
-        position = {id(t): i for i, t in enumerate(tape.entries)}
-        for i, t in enumerate(tape.entries):
+        assert tape[-1] is loss and len(tape) == 3  # mul, add, sum
+        position = {id(t): i for i, t in enumerate(tape)}
+        for i, t in enumerate(tape):
             for inp in t.inputs:
                 if id(inp) in position:
                     assert position[id(inp)] < i
@@ -96,9 +96,9 @@ class TestTape:
         y = T.mul(x, x)
         z = T.add(y, y)  # diamond: y reachable twice from z
         tape = Tape.trace(T.sum_all(z))
-        ids = [id(t) for t in tape.entries]
+        ids = [id(t) for t in tape]
         assert len(ids) == len(set(ids)) == 3  # mul, add, sum
-        assert [t.op for t in tape.entries] == ["mul", "add", "sum_all"]
+        assert [t.op for t in tape] == ["mul", "add", "sum_all"]
 
 
 class TestFiniteDifferenceSuite:

@@ -19,7 +19,6 @@ from molfuse.smiles import (
     BondOrder,
     Chirality,
     Hybridization,
-    _non_bridge_edges,
     featurize,
     implicit_hydrogens,
     parse_smiles,
@@ -125,6 +124,8 @@ class TestParser:
         assert parse_smiles("[O-]").atoms[0].charge == -1
         assert parse_smiles("[O--]").atoms[0].charge == -2
         assert parse_smiles("[N+3]").atoms[0].charge == 3
+        assert parse_smiles("[C-15]").atoms[0].charge == -15
+        assert parse_smiles("[C" + "+" * 15 + "]").atoms[0].charge == 15
 
     def test_chirality_extension_maps_to_other(self):
         assert parse_smiles("[C@TH1](N)(O)C").atoms[0].chirality is Chirality.OTHER
@@ -186,6 +187,31 @@ class TestParserErrors:
             assert type(err.value) is cls, smiles
             assert str(err.value) == f"{message} (offset {offset})"
 
+    # Digit runs past the OpenSMILES field widths (one hydrogen-count digit, two
+    # chirality-class or charge digits) and charges beyond +-15.  The long runs
+    # exceed the 4300-digit limit of int() on strings.
+    @pytest.mark.parametrize(
+        "smiles, message, offset",
+        [
+            ("[CH" + "1" * 4301 + "]", "unexpected character '1' in bracket atom", 4),
+            ("[C@TH" + "1" * 4301 + "]", "undefined chirality class @TH11", 5),
+            ("[C+" + "1" * 4299 + "]", "unexpected character '1' in bracket atom", 5),
+            ("[C-" + "1" * 4299 + "]", "unexpected character '1' in bracket atom", 5),
+            ("[C+16]", "charge +16 out of range", 2),
+            ("[C+99]", "charge +99 out of range", 2),
+            ("[CH2-16]", "charge -16 out of range", 4),
+            ("[C" + "+" * 16 + "]", "charge +16 out of range", 2),
+            ("[C" + "-" * 4301 + "]", "charge -4301 out of range", 2),
+        ],
+        ids=["h-run", "chiral-run", "plus-run", "minus-run", "plus16", "plus99", "minus16", "16-signs", "4301-signs"],
+    )
+    def test_bracket_digit_runs_and_charge_limit(self, smiles, message, offset):
+        with pytest.raises(SmilesError) as err:
+            featurize(smiles)
+        assert type(err.value) is SmilesError
+        assert err.value.offset == offset
+        assert str(err.value) == f"{message} (offset {offset})"
+
     def test_empty_string(self):
         with pytest.raises(SmilesError) as err:
             featurize("")
@@ -217,6 +243,15 @@ class TestRingPerception:
             "C1CC2(CC1)CCC2",
             "CC(C)C1CCC1",
             "C1CC1C1CC1",
+            # Closures opened inside a branch: their atoms are neither
+            # ancestor nor descendant of each other in the parse tree.
+            "C(C1)C1",
+            "C1(CC2)CC12",
+            "C(C(C1)C2)C12",
+            "CC(CC1)CC1C",
+            "c(c1)c1",
+            "c1(cc2)cc12",
+            "c1cc1c1cc1",
         ],
     )
     def test_matches_exhaustive_cycle_oracle(self, smiles):
@@ -224,11 +259,12 @@ class TestRingPerception:
         assert len(mol.atoms) <= 12
         edges = [(a, b) for a, b, _ in mol.bonds]
         assert mol.in_ring == ring_flags_oracle(len(mol.atoms), edges)
-
-    def test_flags_helper_on_disjoint_union(self):
-        # Triangle plus a path, as one graph; no SMILES string has two components yet.
-        edges = [(0, 1), (1, 2), (0, 2), (3, 4)]
-        assert _non_bridge_edges(5, edges) == {(0, 1), (1, 2), (0, 2)}
+        # No bond is written, so a bond between aromatic atoms is aromatic
+        # exactly when it lies on a cycle, and every other bond is single.
+        for k, (a, b, order) in enumerate(mol.bonds):
+            aromatic = mol.atoms[a].aromatic and mol.atoms[b].aromatic
+            on_cycle = edge_on_cycle_oracle(len(mol.atoms), edges, k)
+            assert order is (BondOrder.AROMATIC if aromatic and on_cycle else BondOrder.SINGLE), (smiles, a, b)
 
 
 class TestValenceModel:
@@ -398,10 +434,11 @@ _CHARS = "CNOSPFBIclnosp[]()=#-:/\\@+H%0123456789."
 def ring_smiles(draw) -> str:
     units = [draw(st.sampled_from(_ATOMS))] + draw(st.lists(st.sampled_from(_UNITS), max_size=11))
     last = len(units) - 1
-    closures = draw(st.lists(st.tuples(st.integers(0, last), st.integers(2, 11)), max_size=4))
-    for number, (i, gap) in enumerate(closures, start=1):
+    closures = draw(st.lists(st.tuples(st.integers(0, last), st.integers(2, 11), st.booleans()), max_size=4))
+    for number, (i, gap, in_branch) in enumerate(closures, start=1):
         if i + gap <= last:
-            units[i] += str(number)
+            # In a branch, the ring opens on a new atom off unit i (as in C(C1)C1).
+            units[i] += f"(C{number})" if in_branch else str(number)
             units[i + gap] += str(number)
     return "".join(units)
 
@@ -427,6 +464,5 @@ def test_generated_strings_parse_or_raise_and_ring_flags_match_oracle(smiles):
     except SmilesError:
         return
     assert graph.feature_matrix().shape == (graph.num_atoms, len(AtomFeatures._fields))
-    if graph.num_atoms <= 12:
-        oracle = ring_flags_oracle(graph.num_atoms, graph.bond_pairs())
-        assert [a.in_ring for a in graph.atoms] == oracle, smiles
+    oracle = ring_flags_oracle(graph.num_atoms, graph.bond_pairs())
+    assert [a.in_ring for a in graph.atoms] == oracle, smiles
