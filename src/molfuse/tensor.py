@@ -16,6 +16,17 @@ Conventions:
   and +-inf propagate into it, so a finite sum proves every entry finite.
   A sum that overflows (entries beyond about 1e154) falls back to the
   elementwise ``isfinite`` test, so exactly the same arrays pass and fail.
+  ``gather_rows`` is the one op that checks another array: every entry of
+  its output is an entry of its source, so when the source is no larger
+  than the output, a finite source proves the output finite.  Only when
+  that check fails, or the source is larger, is the output itself checked,
+  so the same gathers pass and fail as with an output check.
+* Row gathers (the ``gather_rows`` forward, the ``segment_sum`` backward,
+  and ``segment_softmax``'s gathers of per-segment maxima, denominators and
+  backward dot products) use
+  ``ndarray.take(ids, axis=0)``.  It gives the same result as ``x[ids]``;
+  on a 2-vCPU x86_64 host it took 1.0 ms against 7.4 ms for 216k rows 4
+  wide, and 5.5 us against 12.2 us for 400 rows 32 wide.
 * Segment reductions (``segment_sum``, the ``segment_softmax``
   denominators and backward, the ``gather_rows`` backward) take one of two
   paths by input size.  Up to ``_BINCOUNT_MAX_ELEMENTS`` entries, one
@@ -28,6 +39,9 @@ Conventions:
   may edit in place.  Interior tensors keep the array their consumer's rule
   returned, which may be read-only or shared with other tensors; read them,
   never write them.  Accumulation is always out of place (``grad + g``).
+  A rule returns ``None`` in the slot of an input that does not require
+  gradients (``add``, ``sub``, ``mul`` and ``matmul`` do, so a product
+  with a constant computes one side only); ``backward`` skips that slot.
 * ``no_grad`` is per thread and per async context.
 * Subgradients at kinks (leaky_relu, elu) take the right-hand value, so
   the derivative at exactly 0 is the positive-side one.
@@ -35,7 +49,9 @@ Conventions:
 * Index arguments (``gather_rows`` indices, segment ids, ``cross_entropy``
   labels) must have an integer dtype; a float or boolean array raises
   :class:`~molfuse.errors.DataError` rather than being truncated or read
-  as 0/1.  Empty input of any dtype passes, since ``[]`` is float64.
+  as 0/1.  Empty input of any dtype passes, since ``[]`` is float64.  An id
+  outside its range (below 0, or at least the row, segment or class count)
+  also raises ``DataError``.
 * Memory: importing this module sets glibc's ``M_MMAP_THRESHOLD`` to 1 GiB
   and ``M_TRIM_THRESHOLD`` to 2**31 - 1 through ``mallopt``.  glibc gives
   each allocation above its mmap threshold, which adapts but is capped at
@@ -308,7 +324,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.values + b.values
 
     def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, "add", (a, b), rule)
 
@@ -317,7 +336,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.values - b.values
 
     def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, "sub", (a, b), rule)
 
@@ -326,7 +348,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values * b.values
 
     def rule(g):
-        return _unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)
+        return (
+            _unbroadcast(g * b.values, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.values, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, "mul", (a, b), rule)
 
@@ -351,7 +376,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values @ b.values
 
     def rule(g):
-        return g @ b.values.T, a.values.T @ g
+        return (g @ b.values.T if a.requires_grad else None, a.values.T @ g if b.requires_grad else None)
 
     return _make(out, "matmul", (a, b), rule)
 
@@ -378,20 +403,40 @@ def _index_array(values, name: str) -> Array:
     return arr.astype(np.intp, copy=False)
 
 
+def _check_range(ids: Array, n: int, message: str) -> None:
+    """Raise ``DataError(message)`` unless every ``intp`` id lies in [0, n).
+
+    Read as unsigned (``uintp``), a negative id exceeds any array length, so
+    one ``max`` finds ids below 0 and ids at or above ``n`` alike.
+    """
+    if ids.size and ids.view(np.uintp).max() >= n:
+        raise DataError(message)
+
+
+_NO_VALUES = np.empty(0)
+
+
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows by integer index; duplicates accumulate in the gradient."""
     idx = _index_array(indices, "gather_rows indices")
     if idx.ndim != 1:
         raise ShapeError("gather_rows needs a 1-D index array")
     n = a.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise DataError(f"gather_rows index out of range [0, {n})")
-    out = a.values[idx]
+    _check_range(idx, n, f"gather_rows index out of range [0, {n})")
+    out = a.values.take(idx, axis=0)
+    # A finite source proves the output finite (module docstring); the
+    # output is checked when the source is larger or holds a non-finite row.
+    if not ((a.size <= out.size and _all_finite(a.values)) or _all_finite(out)):
+        raise NumericError("non-finite values produced by gather_rows")
 
     def rule(g):
         return (_segment_summer(idx, n, a.shape[1:])(g),)
 
-    return _make(out, "gather_rows", (a,), rule)
+    # The empty array passes the constructor's check at no cost; the output,
+    # proven finite above, replaces it.
+    t = _make(_NO_VALUES, "gather_rows", (a,), rule)
+    t.values = out
+    return t
 
 
 # ---- reductions ---------------------------------------------------------------
@@ -516,8 +561,7 @@ def dropout(a: Tensor, rate: float, mode: str, rng: np.random.Generator | None =
 def _check_segments(seg: Array, length: int, num_segments: int) -> None:
     if seg.ndim != 1 or seg.shape[0] != length:
         raise ShapeError(f"segment ids must be 1-D of length {length}, got shape {seg.shape}")
-    if length and (seg.min() < 0 or seg.max() >= num_segments):
-        raise ShapeError(f"segment ids must lie in [0, {num_segments})")
+    _check_range(seg, num_segments, f"segment ids must lie in [0, {num_segments})")
 
 
 # Segment sums over at most this many entries (rows x width) use bincount,
@@ -561,7 +605,7 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     out = _segment_summer(seg, num_segments, a.shape[1:])(a.values)
 
     def rule(g):
-        return (np.asarray(g)[seg],)
+        return (np.asarray(g).take(seg, axis=0),)
 
     return _make(out, "segment_sum", (a,), rule)
 
@@ -581,13 +625,14 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     slots = _segment_slots(seg, math.prod(a.shape[1:]))
     seg_max = np.full((num_segments,) + a.shape[1:], -np.inf)
     np.maximum.at(seg_max.reshape(-1), slots, a.values.reshape(-1))
-    z = np.exp(a.values - seg_max[seg])
+    out = a.values - seg_max.take(seg, axis=0)
+    np.exp(out, out=out)
     sum_rows = _segment_summer(seg, num_segments, a.shape[1:], slots)
-    out = z / sum_rows(z)[seg]
+    out /= sum_rows(out).take(seg, axis=0)
 
     def rule(g):
         dot = sum_rows(g * out)
-        return (out * (g - dot[seg]),)
+        return (out * (g - dot.take(seg, axis=0)),)
 
     return _make(out, "segment_softmax", (a,), rule)
 
@@ -609,8 +654,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"labels must have shape ({n},), got {y.shape}")
     if n == 0:
         raise ShapeError("cross_entropy needs at least one row")
-    if y.min() < 0 or y.max() >= c:
-        raise DataError(f"labels must lie in [0, {c})")
+    _check_range(y, c, f"labels must lie in [0, {c})")
     shifted = logits.values - logits.values.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + logits.values.max(axis=1)
     out = float((lse - logits.values[np.arange(n), y]).mean())

@@ -407,6 +407,37 @@ class TestFiniteCheckAndGradientContracts:
         assert not y.grad.flags.writeable
         assert a.grad.flags.writeable
 
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.matmul])
+    def test_constant_operand_gets_no_gradient(self, op):
+        # The parameter side's values are checked by gradcheck's OP_CASES.
+        p, c = T.parameter(np.ones((2, 2))), T.constant(np.full((2, 2), 3.0))
+        for inputs, const_slot in (((p, c), 1), ((c, p), 0)):
+            out = op(*inputs)
+            grads = out.backward_rule(np.ones(out.shape))
+            assert grads[const_slot] is None
+            assert grads[1 - const_slot].shape == p.shape
+
+
+class TestGatherRowsFiniteness:
+    """A non-finite source entry fails gather_rows only when a gathered row
+    holds it, on both sides of the size rule: a source no larger than the
+    output is checked first, a larger one never.  A tensor cannot be built
+    non-finite, so each source's ``.values`` are reassigned after
+    construction, as an optimizer step may do."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "rows, picked", [(3, [0, 1, 0, 1, 1, 0, 0, 1]), (10_000, [0, 1])], ids=["source-smaller", "2-of-10000"]
+    )
+    def test_only_gathered_rows_count(self, rows, picked, bad):
+        a = T.constant(np.ones((rows, 2)))
+        values = a.values.copy()
+        values[rows - 1, 1] = bad
+        a.values = values
+        np.testing.assert_array_equal(T.gather_rows(a, picked).values, np.ones((len(picked), 2)))
+        with pytest.raises(NumericError, match=r"^non-finite values produced by gather_rows$"):
+            T.gather_rows(a, picked[:-1] + [rows - 1])
+
 
 # Each op takes 3 index entries; after truncation every bad input below
 # would be in range, so only the dtype check can catch it.
@@ -417,6 +448,21 @@ INDEX_OPS = {
     "cross_entropy": lambda ids: T.cross_entropy(T.constant(np.ones((3, 2))), ids),
 }
 BAD_INDICES = {"float": [0.9, 1.4, 0.2], "nan": [0.0, np.nan, 1.0], "bool": [True, False, True]}
+# Each op's index bound n above and the DataError message for an id outside [0, n).
+INDEX_RANGES = {
+    "gather_rows": (3, "gather_rows index out of range [0, 3)"),
+    "segment_sum": (2, "segment ids must lie in [0, 2)"),
+    "segment_softmax": (2, "segment ids must lie in [0, 2)"),
+    "cross_entropy": (2, "labels must lie in [0, 2)"),
+}
+# Out-of-range ids for a bound n; the uint64 ones wrap to negative intp values.
+OUT_OF_RANGE = {
+    "minus_one": lambda n: [0, -1, 1],
+    "n": lambda n: [0, n, 1],
+    "uint64_2**63": lambda n: np.array([0, 2**63, 1], dtype=np.uint64),
+    "uint64_max": lambda n: np.array([0, 2**64 - 1, 1], dtype=np.uint64),
+    "int32_negative": lambda n: np.array([0, -7, 1], dtype=np.int32),
+}
 
 
 class TestIndexDtypes:
@@ -430,6 +476,14 @@ class TestIndexDtypes:
     def test_unsigned_indices_accepted(self, op):
         ids = np.array([1, 0, 1], dtype=np.uint32)
         np.testing.assert_array_equal(INDEX_OPS[op](ids).values, INDEX_OPS[op]([1, 0, 1]).values)
+
+    @pytest.mark.parametrize("kind", OUT_OF_RANGE)
+    @pytest.mark.parametrize("op", INDEX_OPS)
+    def test_out_of_range_indices_rejected(self, op, kind):
+        n, message = INDEX_RANGES[op]
+        with pytest.raises(DataError) as info:
+            INDEX_OPS[op](OUT_OF_RANGE[kind](n))
+        assert info.type is DataError and str(info.value) == message
 
     def test_empty_list_accepted(self):
         a = T.constant(np.ones((2, 3)))
