@@ -14,7 +14,8 @@ The grammar lives in two compiled patterns, built from the element tables.
 a bond, a branch parenthesis, a ring label (a digit or %nn) or one stray
 character, which raises.  ``_BRACKET`` reads the fields of a bracket atom.
 
-Featurization follows the usual cheminformatics conventions:
+Featurization follows the usual cheminformatics conventions.  ``featurize``
+applies the hydrogen, radical and hybridization rules in one loop over atoms:
 
 * implicit hydrogens = default valence minus the bond-order sum, where an
   aromatic bond contributes 1.5 and the per-atom total is floored; aromatic
@@ -383,7 +384,7 @@ def parse_smiles(s: str) -> ParsedMolecule:
 
 
 def implicit_hydrogens(symbol: str, aromatic: bool, half_order_sum: int, offset: int = 0) -> int:
-    """Implicit hydrogen count for an organic-subset atom.
+    """Unfilled valence: an organic-subset atom's implicit hydrogens, a bracket atom's radicals.
 
     ``half_order_sum`` is twice the bond-order sum (aromatic bonds count 3),
     floored at the atom level before comparing against default valences.
@@ -396,38 +397,6 @@ def implicit_hydrogens(symbol: str, aromatic: bool, half_order_sum: int, offset:
         if valence >= vsum:
             return valence - vsum
     raise ValenceError(f"{symbol} needs valence {vsum}, above its maximum {candidates[-1]}", offset)
-
-
-def _radical_electrons(atom: RawAtom, half_order_sum: int) -> int:
-    """Valence an uncharged bracket atom leaves unfilled, by the hydrogen rule.
-
-    Raises :class:`ValenceError` when a non-aromatic atom's bonds and
-    hydrogens exceed its largest default valence.
-    """
-    if atom.explicit_hs is None or atom.charge != 0 or atom.symbol not in DEFAULT_VALENCES:
-        return 0
-    filled = half_order_sum + 2 * atom.explicit_hs
-    return implicit_hydrogens(atom.symbol, atom.aromatic, filled, atom.offset)
-
-
-def infer_hybridization(
-    symbol: str,
-    aromatic: bool,
-    charge: int,
-    degree: int,
-    num_hs: int,
-    radicals: int,
-    half_order_sum: int,
-) -> Hybridization:
-    """Orbital hybridization: SP2 if aromatic, else from the steric number."""
-    if aromatic:
-        return Hybridization.SP2
-    outer = OUTER_ELECTRONS.get(symbol)
-    if outer is None:
-        return Hybridization.OTHER
-    lone_pairs = max(0, (outer - charge - half_order_sum // 2 - num_hs - radicals) // 2)
-    steric = degree + num_hs + lone_pairs
-    return _STERIC_HYBRIDIZATION.get(steric, Hybridization.OTHER)
 
 
 # ---- featurization ----------------------------------------------------------------
@@ -446,33 +415,34 @@ def featurize(s: str) -> MolecularGraph:
         degree[b] += 1
 
     features: list[AtomFeatures] = []
-    for idx, atom in enumerate(mol.atoms):
-        half_sum = half_sums[idx]
+    for atom, half_sum, deg, in_ring in zip(mol.atoms, half_sums, degree, mol.in_ring):
+        symbol, aromatic, charge = atom.symbol, atom.aromatic, atom.charge
+        radicals = 0
         if atom.explicit_hs is None:
-            num_hs = implicit_hydrogens(atom.symbol, atom.aromatic, half_sum, atom.offset)
+            num_hs = implicit_hydrogens(symbol, aromatic, half_sum, atom.offset)
         else:
             num_hs = atom.explicit_hs
-        radicals = _radical_electrons(atom, half_sum)
-        hybrid = infer_hybridization(
-            atom.symbol,
-            atom.aromatic,
-            atom.charge,
-            degree[idx],
-            num_hs,
-            radicals,
-            half_sum,
-        )
+            if charge == 0 and symbol in DEFAULT_VALENCES:
+                radicals = implicit_hydrogens(symbol, aromatic, half_sum + 2 * num_hs, atom.offset)
+        outer = OUTER_ELECTRONS.get(symbol)
+        if aromatic:
+            hybrid = Hybridization.SP2
+        elif outer is None:
+            hybrid = Hybridization.OTHER
+        else:
+            lone_pairs = max(0, (outer - charge - half_sum // 2 - num_hs - radicals) // 2)
+            hybrid = _STERIC_HYBRIDIZATION.get(deg + num_hs + lone_pairs, Hybridization.OTHER)
         features.append(
             AtomFeatures(
-                atomic_number=SYMBOL_TO_NUMBER[atom.symbol],
+                atomic_number=SYMBOL_TO_NUMBER[symbol],
                 chirality=atom.chirality,
-                degree=degree[idx],
-                formal_charge=atom.charge,
+                degree=deg,
+                formal_charge=charge,
                 num_hs=num_hs,
                 radical_electrons=radicals,
                 hybridization=hybrid,
-                is_aromatic=atom.aromatic,
-                in_ring=mol.in_ring[idx],
+                is_aromatic=aromatic,
+                in_ring=in_ring,
             )
         )
     return MolecularGraph(atoms=features, bonds=mol.bonds, source_smiles=s)

@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every model equation in the package is composed from the operations defined
-here.  Tensors are immutable after construction; each operation eagerly
-computes its value and, when gradients are enabled and an input requires
-them, records a backward rule.  ``backward`` replays the recorded operations
-in reverse topological order (see :class:`Tape`).
+here.  No op changes a tensor in place, but ``values`` may be reassigned
+from outside (``adam_step`` and ``load_into`` do; see Conventions).  Each
+operation eagerly computes its value and, when gradients are enabled and an
+input requires them, records a backward rule.  ``backward`` replays the
+recorded operations in reverse topological order (see :class:`Tape`).
 
 Conventions:
 
@@ -320,8 +321,15 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # ---- elementwise arithmetic ---------------------------------------------------
 
 
+def _broadcast_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
+    return ShapeError(f"{op} operands do not broadcast: {a.shape} and {b.shape}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.values + b.values
+    try:
+        out = a.values + b.values
+    except ValueError:
+        raise _broadcast_error("add", a, b) from None
 
     def rule(g):
         return (
@@ -333,7 +341,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.values - b.values
+    try:
+        out = a.values - b.values
+    except ValueError:
+        raise _broadcast_error("sub", a, b) from None
 
     def rule(g):
         return (
@@ -345,7 +356,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.values * b.values
+    try:
+        out = a.values * b.values
+    except ValueError:
+        raise _broadcast_error("mul", a, b) from None
 
     def rule(g):
         return (
@@ -385,7 +399,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
     arrays = [t.values for t in tensors]
-    out = np.concatenate(arrays, axis=axis)
+    try:
+        out = np.concatenate(arrays, axis=axis)
+    except ValueError:  # also numpy's AxisError
+        raise ShapeError(f"concat cannot join shapes {[a.shape for a in arrays]} on axis {axis}") from None
     sizes = [arr.shape[axis] for arr in arrays]
     offsets = np.cumsum(sizes)[:-1]
 
@@ -419,8 +436,8 @@ _NO_VALUES = np.empty(0)
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows by integer index; duplicates accumulate in the gradient."""
     idx = _index_array(indices, "gather_rows indices")
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows needs a 1-D index array")
+    if idx.ndim != 1 or a.ndim == 0:
+        raise ShapeError(f"gather_rows needs rows and a 1-D index array, got shapes {a.shape} and {idx.shape}")
     n = a.shape[0]
     _check_range(idx, n, f"gather_rows index out of range [0, {n})")
     out = a.values.take(idx, axis=0)
@@ -452,13 +469,8 @@ def sum_all(a: Tensor) -> Tensor:
 
 def leaky_relu(a: Tensor) -> Tensor:
     """Leaky ReLU with negative slope 0.2, as in GAT attention scores."""
-    pos = a.values >= 0
-    out = np.where(pos, a.values, 0.2 * a.values)
-
-    def rule(g):
-        return (g * np.where(pos, 1.0, 0.2),)
-
-    return _make(out, "leaky_relu", (a,), rule)
+    slope = np.where(a.values >= 0, 1.0, 0.2)
+    return _make(a.values * slope, "leaky_relu", (a,), lambda g: (g * slope,))
 
 
 def elu(a: Tensor) -> Tensor:
@@ -532,9 +544,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
         g_a = g_xhat * inv_std + g_var * (2.0 / d) * centered + g_mu / d
         reduce_axes = tuple(range(a.ndim - 1))
-        g_gain = (g * xhat).sum(axis=reduce_axes) if reduce_axes else (g * xhat)
-        g_bias = g.sum(axis=reduce_axes) if reduce_axes else g
-        return g_a, g_gain, g_bias
+        return g_a, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
     return _make(out, "layer_norm", (a, gain, bias), rule)
 
@@ -558,9 +568,10 @@ def dropout(a: Tensor, rate: float, mode: str, rng: np.random.Generator | None =
 # ---- segment operations (graph aggregation) -----------------------------------
 
 
-def _check_segments(seg: Array, length: int, num_segments: int) -> None:
-    if seg.ndim != 1 or seg.shape[0] != length:
-        raise ShapeError(f"segment ids must be 1-D of length {length}, got shape {seg.shape}")
+def _check_segments(seg: Array, shape: tuple[int, ...], num_segments: int) -> None:
+    """Require one id per row of an array of ``shape``, each in [0, num_segments)."""
+    if not shape or seg.shape != shape[:1]:
+        raise ShapeError(f"segment ids of shape {seg.shape} do not match rows of shape {shape}")
     _check_range(seg, num_segments, f"segment ids must lie in [0, {num_segments})")
 
 
@@ -601,7 +612,7 @@ def _segment_summer(
 def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Sum rows of ``a`` into ``num_segments`` buckets by first-axis segment id."""
     seg = _index_array(segment_ids, "segment_ids")
-    _check_segments(seg, a.shape[0], num_segments)
+    _check_segments(seg, a.shape, num_segments)
     out = _segment_summer(seg, num_segments, a.shape[1:])(a.values)
 
     def rule(g):
@@ -618,7 +629,7 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     subtraction.
     """
     seg = _index_array(segment_ids, "segment_ids")
-    _check_segments(seg, a.shape[0], num_segments)
+    _check_segments(seg, a.shape, num_segments)
     if a.shape[0] == 0:
         raise ShapeError("segment_softmax needs at least one row")
     # Per-segment max as one 1-D scatter over flat (segment, column) slots.
@@ -655,13 +666,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if n == 0:
         raise ShapeError("cross_entropy needs at least one row")
     _check_range(y, c, f"labels must lie in [0, {c})")
-    shifted = logits.values - logits.values.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.values.max(axis=1)
-    out = float((lse - logits.values[np.arange(n), y]).mean())
+    row_max = logits.values.max(axis=1, keepdims=True)
+    z = np.exp(logits.values - row_max)
+    totals = z.sum(axis=1, keepdims=True)
+    lse = np.log(totals) + row_max
+    out = float((lse[:, 0] - logits.values[np.arange(n), y]).mean())
 
     def rule(g):
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = z / totals
         probs[np.arange(n), y] -= 1.0
         return (np.asarray(g) * probs / n,)
 

@@ -367,6 +367,29 @@ class TestFeaturize:
         assert featurize("c1cc[se]c1").atoms[3].radical_electrons == 0
         assert featurize("[c]1ccccc1").atoms[0].radical_electrons == 1
 
+    # Worked from the module docstring: radicals = lowest default valence not
+    # below bonds + written H, minus that sum (uncharged atoms with default
+    # valences only); lone pairs = (outer - charge - bonds - H - radicals) // 2;
+    # steric number = degree + H + lone pairs.
+    @pytest.mark.parametrize(
+        "smiles, hybridization, radicals",
+        [
+            ("[Fe]", "OTHER", 0),  # no outer-electron count, no default valence
+            ("[Cu+2]", "OTHER", 0),  # charged, and no outer-electron count
+            ("[Na+]", "S", 0),  # lone pairs (1 - 1) // 2 = 0, steric 0
+            ("[Se]", "SP", 2),  # valence 2 unfilled; lone pairs (6 - 2) // 2 = 2
+            ("[SiH3]", "SP2", 1),  # valence 4 - 3; steric 3 + 0
+            ("[B]", "S", 3),  # valence 3 unfilled; lone pairs 0, steric 0
+            ("[PH5]", "SP3D", 0),  # valence 5 filled; steric 5
+            ("[SH6]", "SP3D2", 0),  # valence 6 filled; steric 6
+            ("[XeH7]", "OTHER", 0),  # lone pairs (8 - 7) // 2 = 0, steric 7
+        ],
+    )
+    def test_valence_branches_outside_fixture(self, smiles, hybridization, radicals):
+        atom = featurize(smiles).atoms[0]
+        assert atom.hybridization is Hybridization[hybridization]
+        assert atom.radical_electrons == radicals
+
     def test_determinism(self):
         a = featurize("CC(=O)Oc1ccccc1C(=O)O")
         b = featurize("CC(=O)Oc1ccccc1C(=O)O")
@@ -466,3 +489,12 @@ def test_generated_strings_parse_or_raise_and_ring_flags_match_oracle(smiles):
     assert graph.feature_matrix().shape == (graph.num_atoms, len(AtomFeatures._fields))
     oracle = ring_flags_oracle(graph.num_atoms, graph.bond_pairs())
     assert [a.in_ring for a in graph.atoms] == oracle, smiles
+    incident = [0] * graph.num_atoms
+    for a, b in graph.bond_pairs():
+        incident[a] += 1
+        incident[b] += 1
+    assert [a.degree for a in graph.atoms] == incident, smiles
+    for atom in graph.atoms:
+        assert not atom.is_aromatic or atom.hybridization is Hybridization.SP2, smiles
+        assert atom.num_hs >= 0 and atom.radical_electrons >= 0, smiles
+        assert atom.formal_charge == 0 or atom.radical_electrons == 0, smiles

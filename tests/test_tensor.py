@@ -491,6 +491,34 @@ class TestIndexDtypes:
         assert T.segment_sum(T.constant(np.zeros((0, 3))), [], 2).shape == (2, 3)
 
 
+# Shape faults that numpy or Python would report as ValueError, AxisError or
+# IndexError; each names the shapes involved.
+SHAPE_FAULTS = {
+    "add": (lambda: T.add(T.constant(np.ones((2, 3))), T.constant(np.ones(4))), "(2, 3) and (4,)"),
+    "sub": (lambda: T.sub(T.constant(np.ones((2, 3))), T.constant(np.ones((3, 2)))), "(2, 3) and (3, 2)"),
+    "mul": (lambda: T.mul(T.constant(np.ones(2)), T.constant(np.ones(3))), "(2,) and (3,)"),
+    "concat_mismatch": (
+        lambda: T.concat([T.constant(np.ones((2, 3))), T.constant(np.ones((2, 4)))]),
+        "[(2, 3), (2, 4)] on axis 0",
+    ),
+    "concat_axis": (lambda: T.concat([T.constant(np.ones((2, 3)))], axis=2), "[(2, 3)] on axis 2"),
+    "gather_rows_0d": (lambda: T.gather_rows(T.constant(1.0), [0]), "() and (1,)"),
+    "segment_sum_0d": (lambda: T.segment_sum(T.constant(1.0), [0], 1), "shape (1,) do not match rows of shape ()"),
+    "segment_softmax_0d": (
+        lambda: T.segment_softmax(T.constant(1.0), [0], 1),
+        "shape (1,) do not match rows of shape ()",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_FAULTS)
+def test_shape_faults_raise_shape_error(case):
+    call, shapes = SHAPE_FAULTS[case]
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert info.type is ShapeError and shapes in str(info.value)
+
+
 @pytest.mark.skipif(resource is None or platform.libc_ver()[0] != "glibc", reason="needs getrusage and glibc")
 def test_large_arrays_reuse_freed_memory():
     """Importing molfuse.tensor keeps freed 64 MiB arrays in the heap, so
