@@ -49,6 +49,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -190,7 +191,17 @@ class MolecularGraph:
         return [(i, j) for i, j, _ in self.bonds]
 
     def feature_matrix(self) -> np.ndarray:
-        return np.array(self.atoms, dtype=np.float64)
+        """(atoms, 9) float64; with no atoms, the empty 1-D ``np.array([])``.
+
+        ``fromiter`` over the flattened fields gives the bytes of
+        ``np.array(self.atoms, dtype=np.float64)`` without its per-element
+        conversion.
+        """
+        n = len(self.atoms)
+        if not n:
+            return np.array(self.atoms, dtype=np.float64)
+        width = len(AtomFeatures._fields)
+        return np.fromiter(chain.from_iterable(self.atoms), np.float64, width * n).reshape(n, width)
 
 
 # ---- grammar --------------------------------------------------------------------

@@ -21,7 +21,8 @@ Conventions:
   its output is an entry of its source, so when the source is no larger
   than the output, a finite source proves the output finite.  Only when
   that check fails, or the source is larger, is the output itself checked,
-  so the same gathers pass and fail as with an output check.
+  so the same gathers pass and fail as with an output check; the proven
+  output is then wrapped without a second check (``_make(finite=True)``).
 * Row gathers (the ``gather_rows`` forward, the ``segment_sum`` backward,
   and ``segment_softmax``'s gathers of per-segment maxima, denominators and
   backward dot products) use
@@ -29,13 +30,19 @@ Conventions:
   on a 2-vCPU x86_64 host it took 1.0 ms against 7.4 ms for 216k rows 4
   wide, and 5.5 us against 12.2 us for 400 rows 32 wide.
 * Segment reductions (``segment_sum``, the ``segment_softmax``
-  denominators and backward, the ``gather_rows`` backward) take one of two
-  paths by input size.  Up to ``_BINCOUNT_MAX_ELEMENTS`` entries, one
-  ``np.bincount`` over the flat slots ``id * width + column``; above it, a
-  product with the sparse 0/1 indicator ``S[id[j], j] = 1`` in CSC form,
-  built only there.  Both add each segment's rows one at a time in row
-  order, the order of an unbuffered NumPy scatter-add, so results are
-  bit-identical to that scatter and to each other, signed zeros included.
+  denominators and backward, the ``gather_rows`` backward) are one call of
+  ``scipy.sparse._sparsetools.csc_matvecs``, the compiled kernel under a
+  CSC matrix product, given the raw arrays of the 0/1 indicator
+  ``S[id[j], j] = 1`` (``indptr = arange(rows + 1)``, unit data); at one
+  molecule's sizes, building a ``csc_array`` cost more than the product.
+  It adds each segment's rows one at a time in row order, as an unbuffered
+  NumPy scatter-add does, so results are bit-identical to that scatter,
+  signed zeros included.  The kernel trusts its ids and writes outside the
+  output for a wrong one, so every index op passes it a private ``intp``
+  copy (``_index_array``) that was range-checked; editing the caller's
+  array after the forward changes nothing.  The kernel is private to
+  scipy: a tier-1 known-answer test of ``_segment_summer`` names the scipy
+  version if an upgrade renames it or changes its signature.
 * Gradient ownership: a leaf's ``grad`` is a private array that the caller
   may edit in place.  Interior tensors keep the array their consumer's rule
   returned, which may be read-only or shared with other tensors; read them,
@@ -52,7 +59,8 @@ Conventions:
   :class:`~molfuse.errors.DataError` rather than being truncated or read
   as 0/1.  Empty input of any dtype passes, since ``[]`` is float64.  An id
   outside its range (below 0, or at least the row, segment or class count)
-  also raises ``DataError``.
+  also raises ``DataError``.  A segment count that is not a non-negative
+  integer (``operator.index``, ``bool`` excluded) raises ``ShapeError``.
 * Memory: importing this module sets glibc's ``M_MMAP_THRESHOLD`` to 1 GiB
   and ``M_TRIM_THRESHOLD`` to 2**31 - 1 through ``mallopt``.  glibc gives
   each allocation above its mmap threshold, which adapts but is capped at
@@ -73,7 +81,9 @@ Conventions:
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
+import operator
 from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
@@ -233,11 +243,28 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRule) -> Tensor:
-    """Wrap an op result, recording the backward rule only when needed."""
-    if _grad_enabled.get() and any(t.requires_grad for t in inputs):
-        return Tensor(values, requires_grad=True, op=op, inputs=inputs, backward_rule=backward_rule)
-    return Tensor(values, op=op)
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRule, finite: bool = False) -> Tensor:
+    """Wrap an op result, recording the backward rule only when needed.
+
+    The lean twin of ``Tensor(...)``: a float64 ndarray is kept as it is,
+    and ``finite=True`` skips the check for a result the op proved finite.
+    """
+    if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
+        values = np.asarray(values, dtype=np.float64)
+    if not (finite or _all_finite(values)):
+        raise NumericError(f"non-finite values produced by {op}")
+    t = Tensor.__new__(Tensor)
+    t.values, t.grad, t.op = values, None, op
+    t.requires_grad, t.inputs, t.backward_rule = False, (), None
+    if _grad_enabled.get():
+        for inp in inputs:
+            if inp.requires_grad:
+                t.requires_grad, t.inputs, t.backward_rule = True, inputs, backward_rule
+                break
+    return t
 
 
 # ---- tape and backward pass -------------------------------------------------
@@ -413,24 +440,25 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def _index_array(values, name: str) -> Array:
-    """``values`` as an ``intp`` array; any non-integer dtype raises ``DataError``."""
+    """A private ``intp`` copy of ``values``; any non-integer dtype raises ``DataError``.
+
+    The copy is what the op checks and what its backward rule reads later,
+    so a caller editing its own array cannot reach either.
+    """
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise DataError(f"{name} must have an integer dtype, got {arr.dtype}")
-    return arr.astype(np.intp, copy=False)
+    return arr.astype(np.intp)
 
 
 def _check_range(ids: Array, n: int, message: str) -> None:
-    """Raise ``DataError(message)`` unless every ``intp`` id lies in [0, n).
+    """Raise ``DataError(message.format(n))`` unless every ``intp`` id lies in [0, n).
 
     Read as unsigned (``uintp``), a negative id exceeds any array length, so
     one ``max`` finds ids below 0 and ids at or above ``n`` alike.
     """
     if ids.size and ids.view(np.uintp).max() >= n:
-        raise DataError(message)
-
-
-_NO_VALUES = np.empty(0)
+        raise DataError(message.format(n))
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -439,7 +467,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     if idx.ndim != 1 or a.ndim == 0:
         raise ShapeError(f"gather_rows needs rows and a 1-D index array, got shapes {a.shape} and {idx.shape}")
     n = a.shape[0]
-    _check_range(idx, n, f"gather_rows index out of range [0, {n})")
+    _check_range(idx, n, "gather_rows index out of range [0, {})")
     out = a.values.take(idx, axis=0)
     # A finite source proves the output finite (module docstring); the
     # output is checked when the source is larger or holds a non-finite row.
@@ -449,11 +477,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def rule(g):
         return (_segment_summer(idx, n, a.shape[1:])(g),)
 
-    # The empty array passes the constructor's check at no cost; the output,
-    # proven finite above, replaces it.
-    t = _make(_NO_VALUES, "gather_rows", (a,), rule)
-    t.values = out
-    return t
+    return _make(out, "gather_rows", (a,), rule, finite=True)
 
 
 # ---- reductions ---------------------------------------------------------------
@@ -528,9 +552,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"layer_norm needs a nonempty last axis, got shape {a.shape}")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = a.values.mean(axis=-1, keepdims=True)
+    # sum / d is what ndarray.mean computes, bit for bit, without its wrappers.
+    mu = a.values.sum(axis=-1, keepdims=True) / d
     centered = a.values - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     out = xhat * gain.values + bias.values
@@ -568,51 +593,71 @@ def dropout(a: Tensor, rate: float, mode: str, rng: np.random.Generator | None =
 # ---- segment operations (graph aggregation) -----------------------------------
 
 
-def _check_segments(seg: Array, shape: tuple[int, ...], num_segments: int) -> None:
-    """Require one id per row of an array of ``shape``, each in [0, num_segments)."""
+def _checked_segments(segment_ids, shape: tuple[int, ...], num_segments) -> tuple[Array, int]:
+    """Private ids, one per row of an array of ``shape`` and each in [0, count), and the count.
+
+    The count sizes the array the summing kernel writes into, so anything
+    but a non-negative integer raises ``ShapeError`` before the ids are read.
+    """
+    try:
+        count = operator.index(num_segments)
+    except TypeError:
+        count = -1
+    if count < 0 or isinstance(num_segments, bool):
+        raise ShapeError(
+            f"num_segments must be a non-negative integer, got {num_segments} ({type(num_segments).__name__})"
+        )
+    seg = _index_array(segment_ids, "segment_ids")
     if not shape or seg.shape != shape[:1]:
         raise ShapeError(f"segment ids of shape {seg.shape} do not match rows of shape {shape}")
-    _check_range(seg, num_segments, f"segment ids must lie in [0, {num_segments})")
+    _check_range(seg, count, "segment ids must lie in [0, {})")
+    return seg, count
 
 
-# Segment sums over at most this many entries (rows x width) use bincount,
-# which skips the ~20 us of building a sparse indicator; the CSC product
-# repays that cost only on larger inputs (on a 2-core x86_64 host, bincount
-# was still ahead at 6,400 entries and behind at 19,200).
-_BINCOUNT_MAX_ELEMENTS = 4096
+@functools.lru_cache(maxsize=64)
+def _columns(width: int) -> Array:
+    """A read-only ``arange(width)``, shared by every call with that width."""
+    cols = np.arange(width)
+    cols.flags.writeable = False
+    return cols
 
 
 def _segment_slots(ids: Array, width: int) -> Array:
     """The flat slot ``ids[j] * width + c`` of every entry of a (rows, width) array."""
-    return (ids[:, None] * width + np.arange(width)).reshape(-1)
+    return (ids[:, None] * width + _columns(width)).reshape(-1)
 
 
-def _segment_summer(
-    ids: Array, num_segments: int, row_shape: tuple[int, ...], slots: Array | None = None
-) -> Callable[[Array], Array]:
+def _segment_summer(ids: Array, num_segments: int, row_shape: tuple[int, ...]) -> Callable[[Array], Array]:
     """A function summing arrays of shape ``(len(ids),) + row_shape`` by row id.
 
-    Its result has shape ``(num_segments,) + row_shape``.  Both paths add
-    each segment's rows one at a time in row order, as an unbuffered
-    scatter-add does: ``bincount`` walks its flat input in order, and CSC
-    columns are visited in order.  ``slots`` may pass in the
-    ``_segment_slots`` the caller already holds.
+    Its result has shape ``(num_segments,) + row_shape``.  Each call is one
+    ``csc_matvecs`` product with the indicator whose column ``j`` holds a 1
+    in row ``ids[j]``; it visits columns in order, adding each segment's
+    rows one at a time in row order as an unbuffered scatter-add does.
+    ``ids`` must be a private ``intp`` array checked against
+    ``num_segments``: the kernel reads them unchecked.
     """
     rows, width = ids.shape[0], math.prod(row_shape)
     out_shape = (num_segments,) + row_shape
-    if rows * width <= _BINCOUNT_MAX_ELEMENTS:
-        if slots is None:
-            slots = _segment_slots(ids, width)
-        size = num_segments * width
-        return lambda x: np.bincount(slots, x.reshape(-1), size).reshape(out_shape)
-    indicator = sparse.csc_array((np.ones(rows), ids, np.arange(rows + 1)), shape=(num_segments, rows))
-    return lambda x: (indicator @ x.reshape(rows, width)).reshape(out_shape)
+    indptr = np.arange(rows + 1, dtype=np.intp)
+    ones = np.empty(rows)  # np.ones is a Python wrapper around these two calls
+    ones.fill(1.0)
+
+    def summed(x: Array) -> Array:
+        out = np.zeros(out_shape)
+        # reshape to an explicit size raises, rather than letting the kernel
+        # read past an input of the wrong shape.
+        sparse._sparsetools.csc_matvecs(
+            num_segments, rows, width, indptr, ids, ones, x.reshape(rows * width), out.reshape(-1)
+        )
+        return out
+
+    return summed
 
 
 def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Sum rows of ``a`` into ``num_segments`` buckets by first-axis segment id."""
-    seg = _index_array(segment_ids, "segment_ids")
-    _check_segments(seg, a.shape, num_segments)
+    seg, num_segments = _checked_segments(segment_ids, a.shape, num_segments)
     out = _segment_summer(seg, num_segments, a.shape[1:])(a.values)
 
     def rule(g):
@@ -628,8 +673,7 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     nonnegative and sum to 1.  Stability comes from per-segment max
     subtraction.
     """
-    seg = _index_array(segment_ids, "segment_ids")
-    _check_segments(seg, a.shape, num_segments)
+    seg, num_segments = _checked_segments(segment_ids, a.shape, num_segments)
     if a.shape[0] == 0:
         raise ShapeError("segment_softmax needs at least one row")
     # Per-segment max as one 1-D scatter over flat (segment, column) slots.
@@ -638,7 +682,7 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     np.maximum.at(seg_max.reshape(-1), slots, a.values.reshape(-1))
     out = a.values - seg_max.take(seg, axis=0)
     np.exp(out, out=out)
-    sum_rows = _segment_summer(seg, num_segments, a.shape[1:], slots)
+    sum_rows = _segment_summer(seg, num_segments, a.shape[1:])
     out /= sum_rows(out).take(seg, axis=0)
 
     def rule(g):
@@ -665,7 +709,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"labels must have shape ({n},), got {y.shape}")
     if n == 0:
         raise ShapeError("cross_entropy needs at least one row")
-    _check_range(y, c, f"labels must lie in [0, {c})")
+    _check_range(y, c, "labels must lie in [0, {})")
     row_max = logits.values.max(axis=1, keepdims=True)
     z = np.exp(logits.values - row_max)
     totals = z.sum(axis=1, keepdims=True)

@@ -6,19 +6,23 @@ pins every feature of every atom.
 """
 
 import json
+import runpy
 from enum import IntEnum
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molfuse.errors import SmilesError, ValenceError
+from molfuse.rng import stream
 from molfuse.smiles import (
     AtomFeatures,
     BondOrder,
     Chirality,
     Hybridization,
+    MolecularGraph,
     featurize,
     implicit_hydrogens,
     parse_smiles,
@@ -399,6 +403,26 @@ class TestFeaturize:
     def test_feature_matrix_shape(self):
         graph = featurize("CCO")
         assert graph.feature_matrix().shape == (3, 9)
+
+    def test_feature_matrix_equals_array_of_atoms(self):
+        # 2,000 benchmark-generator strings and both fixtures' strings; every
+        # string of the negative corpus raises and is skipped.
+        gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "gen.py"))
+        strings = [m.smiles for m in gen["Generator"](stream(3, "feature-matrix"), 5, 50).take(2000)]
+        for name in ("atom_features_50.tsv", "invalid_smiles.tsv"):
+            strings += [line.split("\t")[0] for line in (FIXTURES / name).read_text().splitlines()]
+        graphs = [MolecularGraph([], [], "")]
+        for smiles in strings:
+            try:
+                graphs.append(featurize(smiles))
+            except SmilesError:
+                pass
+        assert len(graphs) > 2000
+        for graph in graphs:
+            expected = np.array(graph.atoms, dtype=np.float64)
+            actual = graph.feature_matrix()
+            assert actual.shape == expected.shape and actual.dtype == expected.dtype
+            assert actual.tobytes() == expected.tobytes(), graph.source_smiles
 
     def test_feature_matrix_columns_follow_field_order(self):
         # [nH+] in pyridinium: enums by ordinal, flags as 0/1.

@@ -5,6 +5,7 @@ import platform
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -302,8 +303,8 @@ def segment_softmax_reference(x: np.ndarray, ids: np.ndarray, num_segments: int)
 # Unsorted ids with duplicates; segments 2 and 5 of 7 stay empty.
 SCATTER_IDS = np.array([4, 0, 6, 4, 1, 3, 0, 4, 6])
 SCATTER_SEGMENTS = 7
-# The same ids tiled past the bincount threshold, so nonzero-width rows take the CSC path.
-SCATTER_IDS_TILED = np.tile(SCATTER_IDS, T._BINCOUNT_MAX_ELEMENTS // len(SCATTER_IDS) + 1)
+# The same ids tiled to over 20,000 rows, so a large input stays covered.
+SCATTER_IDS_TILED = np.tile(SCATTER_IDS, 20_000 // len(SCATTER_IDS) + 1)
 
 
 def small_and_tiled(trailings):
@@ -328,13 +329,24 @@ def assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
 
 class TestScatterAgainstReference:
     """Segment sums, maxima and the gather_rows backward equal the unbuffered
-    NumPy scatters bit for bit, on both sides of the bincount threshold."""
+    NumPy scatters bit for bit, on small and large inputs."""
 
     @pytest.mark.parametrize("ids, trailing", small_and_tiled([(), (3,), (2, 3), (0,), (2, 0)]))
     def test_segment_sum(self, ids, trailing):
         x = scatter_rows(ids, trailing, stream(12, "scatter-sum"))
         out = T.segment_sum(T.constant(x), ids, SCATTER_SEGMENTS)
         assert out.shape == (SCATTER_SEGMENTS,) + trailing
+        assert_bits_equal(out.values, scatter_sum_reference(ids, x, SCATTER_SEGMENTS))
+
+    @pytest.mark.parametrize("ids", [SCATTER_IDS, SCATTER_IDS_TILED], ids=["small", "tiled"])
+    @pytest.mark.parametrize("layout", ["transposed", "zero-width"])
+    def test_segment_sum_input_layouts(self, ids, layout):
+        if layout == "transposed":
+            x = scatter_rows(ids, (3,), stream(16, "scatter-sum-t")).T.copy().T
+            assert not x.flags.c_contiguous
+        else:
+            x = np.zeros((len(ids), 0))
+        out = T.segment_sum(T.constant(x), ids, SCATTER_SEGMENTS)
         assert_bits_equal(out.values, scatter_sum_reference(ids, x, SCATTER_SEGMENTS))
 
     def test_segment_sum_no_rows(self):
@@ -379,6 +391,64 @@ class TestScatterAgainstReference:
         assert picked.shape == (0, 3)
         T.backward(T.sum_all(picked))
         np.testing.assert_array_equal(a.grad, np.zeros((4, 3)))
+
+
+def test_segment_summer_kernel_known_answer():
+    """Three rows, a duplicate id and an empty segment, through scipy's
+    private ``csc_matvecs`` kernel that every segment sum calls."""
+    ids = np.array([2, 0, 2], dtype=np.intp)
+    x = np.array([[1.0, -0.0], [3.0, 4.0], [5.0, -0.0]])
+    try:
+        out = T._segment_summer(ids, 3, (2,))(x)
+    except (AttributeError, TypeError, ValueError) as exc:
+        pytest.fail(f"scipy {scipy.__version__}: sparse._sparsetools.csc_matvecs is missing or changed: {exc!r}")
+    # Sums start from +0.0, so -0.0 + -0.0 lands as +0.0, as with np.add.at.
+    expected = np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 0.0]])
+    assert out.tobytes() == expected.tobytes(), f"scipy {scipy.__version__}: csc_matvecs gave {out.tolist()}"
+
+
+# An index op over 4 source rows (2 segments) whose ids are edited in place
+# after the forward; the gradient must not see the edit.
+MUTABLE_ID_OPS = {
+    "gather_rows": lambda a, ids: T.gather_rows(a, ids),
+    "segment_sum": lambda a, ids: T.segment_sum(a, ids, 2),
+    "segment_softmax": lambda a, ids: T.segment_softmax(a, ids, 2),
+}
+
+
+@pytest.mark.parametrize("edit", [[1, 1, 1, 1], [0, 5, -1, 2**40]], ids=["in-range", "out-of-range"])
+@pytest.mark.parametrize("op", MUTABLE_ID_OPS)
+def test_ops_own_their_index_arrays(op, edit):
+    def gradient(edited):
+        rng = stream(17, "own-ids")
+        a = T.parameter(rng.normal(size=(4, 3)))
+        ids = np.array([0, 0, 1, 0], dtype=np.intp)
+        out = MUTABLE_ID_OPS[op](a, ids)
+        ids[:] = edited
+        T.backward(T.sum_all(T.mul(out, T.constant(rng.normal(size=out.shape)))))
+        return a.grad
+
+    assert gradient(edit).tobytes() == gradient([0, 0, 1, 0]).tobytes()
+
+
+# A bad segment count and the ShapeError message it must raise, for both segment ops.
+BAD_NUM_SEGMENTS = {
+    "minus_one": (-1, "got -1 (int)"),
+    "float": (2.5, "got 2.5 (float)"),
+    "numpy_float": (np.float64(2.0), "got 2.0 (float64)"),
+    "bool": (True, "got True (bool)"),
+    "none": (None, "got None (NoneType)"),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_NUM_SEGMENTS)
+@pytest.mark.parametrize("op", [T.segment_sum, T.segment_softmax], ids=["segment_sum", "segment_softmax"])
+def test_bad_num_segments_raise_shape_error(op, kind):
+    count, got = BAD_NUM_SEGMENTS[kind]
+    with pytest.raises(ShapeError) as info:
+        op(T.constant(np.ones((3, 2))), [0, 1, 0], count)
+    assert info.type is ShapeError
+    assert str(info.value) == f"num_segments must be a non-negative integer, {got}"
 
 
 class TestFiniteCheckAndGradientContracts:
