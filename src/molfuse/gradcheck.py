@@ -94,7 +94,7 @@ def _away_from_zero(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 # ---- op cases: name -> (op, input shapes, sampler) ------------------------------
 
 OP_CASES: dict[str, tuple[Callable[..., Tensor], tuple[tuple[int, ...], ...], Sampler]] = {
-    "add": (T.add, ((3, 4), (1, 4)), _normal),
+    "add": (T.add, ((3, 4), (4,)), _normal),
     "sub": (T.sub, ((3, 4), (3, 1)), _normal),
     "mul": (T.mul, ((3, 4), (1, 4)), _normal),
     "neg": (T.neg, ((2, 5),), _normal),

@@ -31,18 +31,20 @@ Conventions:
   wide, and 5.5 us against 12.2 us for 400 rows 32 wide.
 * Segment reductions (``segment_sum``, the ``segment_softmax``
   denominators and backward, the ``gather_rows`` backward) are one call of
+  ``_segment_sum``, which passes the raw arrays of the 0/1 indicator
+  ``S[id[j], j] = 1`` (``indptr = arange(rows + 1)``, unit data) to
   ``scipy.sparse._sparsetools.csc_matvecs``, the compiled kernel under a
-  CSC matrix product, given the raw arrays of the 0/1 indicator
-  ``S[id[j], j] = 1`` (``indptr = arange(rows + 1)``, unit data); at one
-  molecule's sizes, building a ``csc_array`` cost more than the product.
-  It adds each segment's rows one at a time in row order, as an unbuffered
-  NumPy scatter-add does, so results are bit-identical to that scatter,
-  signed zeros included.  The kernel trusts its ids and writes outside the
-  output for a wrong one, so every index op passes it a private ``intp``
-  copy (``_index_array``) that was range-checked; editing the caller's
-  array after the forward changes nothing.  The kernel is private to
-  scipy: a tier-1 known-answer test of ``_segment_summer`` names the scipy
-  version if an upgrade renames it or changes its signature.
+  CSC matrix product.  It adds each segment's rows one at a time in row
+  order, as an unbuffered NumPy scatter-add does, so results are
+  bit-identical to that scatter, signed zeros included.  The kernel trusts
+  its ids and writes outside the output for a wrong one, so every index op
+  passes it a private ``intp`` copy (``_index_array``) that was
+  range-checked; editing the caller's array after the forward changes
+  nothing.  The kernel is private to scipy: a tier-1 known-answer test of
+  ``_segment_sum`` names the scipy version if an upgrade renames it or
+  changes its signature.  ``segment_softmax``'s per-segment maxima are one
+  1-D ``np.maximum.at`` per trailing column, into a (columns, segments)
+  buffer; a maximum is exact in any visiting order.
 * Gradient ownership: a leaf's ``grad`` is a private array that the caller
   may edit in place.  Interior tensors keep the array their consumer's rule
   returned, which may be read-only or shared with other tensors; read them,
@@ -81,7 +83,6 @@ Conventions:
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import operator
 from contextvars import ContextVar
@@ -156,23 +157,16 @@ class Tensor:
 
     __slots__ = ("values", "requires_grad", "grad", "op", "inputs", "backward_rule")
 
-    def __init__(
-        self,
-        values,
-        requires_grad: bool = False,
-        op: str | None = None,
-        inputs: tuple["Tensor", ...] = (),
-        backward_rule: BackwardRule | None = None,
-    ):
+    def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
         if not _all_finite(arr):
-            raise NumericError(f"non-finite values produced by {op or 'tensor construction'}")
+            raise NumericError("non-finite values produced by tensor construction")
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
-        self.op = op
-        self.inputs = inputs
-        self.backward_rule = backward_rule
+        self.op: str | None = None
+        self.inputs: tuple[Tensor, ...] = ()
+        self.backward_rule: BackwardRule | None = None
 
     # ---- basic introspection ------------------------------------------------
 
@@ -475,7 +469,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         raise NumericError("non-finite values produced by gather_rows")
 
     def rule(g):
-        return (_segment_summer(idx, n, a.shape[1:])(g),)
+        return (_segment_sum(idx, n, g),)
 
     return _make(out, "gather_rows", (a,), rule, finite=True)
 
@@ -614,51 +608,33 @@ def _checked_segments(segment_ids, shape: tuple[int, ...], num_segments) -> tupl
     return seg, count
 
 
-@functools.lru_cache(maxsize=64)
-def _columns(width: int) -> Array:
-    """A read-only ``arange(width)``, shared by every call with that width."""
-    cols = np.arange(width)
-    cols.flags.writeable = False
-    return cols
+def _segment_sum(ids: Array, num_segments: int, x: Array) -> Array:
+    """Sum the rows of ``x`` by row id into ``(num_segments,) + x.shape[1:]``.
 
-
-def _segment_slots(ids: Array, width: int) -> Array:
-    """The flat slot ``ids[j] * width + c`` of every entry of a (rows, width) array."""
-    return (ids[:, None] * width + _columns(width)).reshape(-1)
-
-
-def _segment_summer(ids: Array, num_segments: int, row_shape: tuple[int, ...]) -> Callable[[Array], Array]:
-    """A function summing arrays of shape ``(len(ids),) + row_shape`` by row id.
-
-    Its result has shape ``(num_segments,) + row_shape``.  Each call is one
-    ``csc_matvecs`` product with the indicator whose column ``j`` holds a 1
-    in row ``ids[j]``; it visits columns in order, adding each segment's
+    One ``csc_matvecs`` product with the indicator whose column ``j`` holds
+    a 1 in row ``ids[j]``; it visits columns in order, adding each segment's
     rows one at a time in row order as an unbuffered scatter-add does.
     ``ids`` must be a private ``intp`` array checked against
     ``num_segments``: the kernel reads them unchecked.
     """
-    rows, width = ids.shape[0], math.prod(row_shape)
-    out_shape = (num_segments,) + row_shape
+    rows, row_shape = ids.shape[0], x.shape[1:]
+    width = math.prod(row_shape)
+    out = np.zeros((num_segments,) + row_shape)
     indptr = np.arange(rows + 1, dtype=np.intp)
     ones = np.empty(rows)  # np.ones is a Python wrapper around these two calls
     ones.fill(1.0)
-
-    def summed(x: Array) -> Array:
-        out = np.zeros(out_shape)
-        # reshape to an explicit size raises, rather than letting the kernel
-        # read past an input of the wrong shape.
-        sparse._sparsetools.csc_matvecs(
-            num_segments, rows, width, indptr, ids, ones, x.reshape(rows * width), out.reshape(-1)
-        )
-        return out
-
-    return summed
+    # reshape to an explicit size raises, rather than letting the kernel
+    # read past an input of the wrong shape.
+    sparse._sparsetools.csc_matvecs(
+        num_segments, rows, width, indptr, ids, ones, x.reshape(rows * width), out.reshape(-1)
+    )
+    return out
 
 
 def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Sum rows of ``a`` into ``num_segments`` buckets by first-axis segment id."""
     seg, num_segments = _checked_segments(segment_ids, a.shape, num_segments)
-    out = _segment_summer(seg, num_segments, a.shape[1:])(a.values)
+    out = _segment_sum(seg, num_segments, a.values)
 
     def rule(g):
         return (np.asarray(g).take(seg, axis=0),)
@@ -676,17 +652,17 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     seg, num_segments = _checked_segments(segment_ids, a.shape, num_segments)
     if a.shape[0] == 0:
         raise ShapeError("segment_softmax needs at least one row")
-    # Per-segment max as one 1-D scatter over flat (segment, column) slots.
-    slots = _segment_slots(seg, math.prod(a.shape[1:]))
-    seg_max = np.full((num_segments,) + a.shape[1:], -np.inf)
-    np.maximum.at(seg_max.reshape(-1), slots, a.values.reshape(-1))
-    out = a.values - seg_max.take(seg, axis=0)
+    # Per-segment maxima, one 1-D scatter per trailing column.
+    columns = a.values.reshape(a.shape[0], -1).T
+    col_max = np.full((columns.shape[0], num_segments), -np.inf)
+    for col, col_seg_max in zip(columns, col_max):
+        np.maximum.at(col_seg_max, seg, col)
+    out = a.values - col_max.T.take(seg, axis=0).reshape(a.shape)
     np.exp(out, out=out)
-    sum_rows = _segment_summer(seg, num_segments, a.shape[1:])
-    out /= sum_rows(out).take(seg, axis=0)
+    out /= _segment_sum(seg, num_segments, out).take(seg, axis=0)
 
     def rule(g):
-        dot = sum_rows(g * out)
+        dot = _segment_sum(seg, num_segments, g * out)
         return (out * (g - dot.take(seg, axis=0)),)
 
     return _make(out, "segment_softmax", (a,), rule)

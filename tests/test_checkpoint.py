@@ -62,6 +62,23 @@ def test_load_into_rejects_name_mismatch(tmp_path, params):
         load_into(path, wrong)
 
 
+def test_load_into_rejects_shape_mismatch(tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    save_params(path, params)
+    wrong = {name: T.parameter(np.zeros(p.shape)) for name, p in params.items()}
+    wrong["gat.0.W"] = T.parameter(np.zeros((16, 9)))
+    with pytest.raises(DataError, match=r"shape mismatch for 'gat\.0\.W': \(9, 16\) vs \(16, 9\)"):
+        load_into(path, wrong)
+
+
+def test_trailing_bytes_rejected(tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    save_params(path, params)
+    path.write_bytes(path.read_bytes() + bytes(3))
+    with pytest.raises(DataError, match="3 trailing bytes after last parameter"):
+        load_arrays(path)
+
+
 def test_truncated_file_rejected(tmp_path, params):
     path = tmp_path / "model.ckpt"
     save_params(path, params)

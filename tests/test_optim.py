@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from molfuse import tensor as T
-from molfuse.errors import NumericError, ParameterError
+from molfuse.errors import NumericError, ParameterError, ShapeError
 from molfuse.optim import AdamState, adam_step
 
 
@@ -67,6 +67,21 @@ def test_nan_gradient_aborts_without_touching_params():
         adam_step({"p": p, "q": q}, state)
     np.testing.assert_array_equal(q.values, [2.0])
     assert state.step_count == 0
+
+
+def test_wrong_shape_gradient_aborts_without_touching_params():
+    p = T.parameter([1.0])
+    q = T.parameter([2.0, 3.0])
+    p.grad = np.array([1.0])
+    q.grad = np.ones((2, 1))
+    state = AdamState()
+    with pytest.raises(ShapeError) as info:
+        adam_step({"p": p, "q": q}, state)
+    assert info.type is ShapeError
+    assert str(info.value) == "gradient shape (2, 1) != parameter shape (2,) for 'q'"
+    np.testing.assert_array_equal(p.values, [1.0])
+    np.testing.assert_array_equal(q.values, [2.0, 3.0])
+    assert state.step_count == 0 and not state.first_moment and not state.second_moment
 
 
 def test_missing_grads_are_skipped():

@@ -32,6 +32,14 @@ def test_package_docstring_lists_every_module():
     assert listed == present
 
 
+def test_module_docstrings_cite_only_existing_private_names():
+    for path in sorted(Path(molfuse.__file__).parent.glob("*.py")):
+        module = importlib.import_module("molfuse" if path.stem == "__init__" else f"molfuse.{path.stem}")
+        cited = set(re.findall(r"``(_\w+)``", module.__doc__ or ""))
+        missing = sorted(name for name in cited if not hasattr(module, name))
+        assert not missing, f"{module.__name__} docstring cites {missing}"
+
+
 def test_failing_property_test_prints_its_example_and_the_run_goes_on(tmp_path):
     # Under the repo's warning filters, a failing @given test must be reported
     # as a plain failure: exit 1, the falsifying example, and later tests run.

@@ -161,6 +161,9 @@ NEGATIVE_CORPUS_ERRORS = {
     "C11": (SmilesError, "ring closure bonds an atom to itself"),
     "C12CC12": (SmilesError, "duplicate bond between atoms"),
     "C==C": (SmilesError, "dangling bond symbol"),
+    "C=(C)": (SmilesError, "dangling bond symbol"),
+    "C(C=)": (SmilesError, "dangling bond symbol"),
+    "CC=": (SmilesError, "dangling bond symbol"),
     "=C": (SmilesError, "bond symbol before any atom"),
     "(C)C": (SmilesError, "branch opens before any atom"),
     "CC)": (SmilesError, "unmatched closing parenthesis"),

@@ -156,6 +156,19 @@ class TestDropout:
         with pytest.raises(ParameterError):
             T.dropout(T.constant([1.0]), 1.0, "train", stream(7, "drop1"))
 
+    @pytest.mark.parametrize(
+        "mode, rng, message",
+        [
+            ("test", stream(8, "drop-mode"), "dropout mode must be 'train' or 'eval', got 'test'"),
+            ("train", None, "train-mode dropout needs an explicit rng"),
+        ],
+        ids=["bad-mode", "train-without-rng"],
+    )
+    def test_bad_mode_and_missing_rng_rejected(self, mode, rng, message):
+        with pytest.raises(ParameterError) as info:
+            T.dropout(T.constant([1.0]), 0.5, mode, rng)
+        assert info.type is ParameterError and str(info.value) == message
+
     def test_expectation_over_seeds(self):
         # Inverted dropout is unbiased: the seed-averaged output approaches
         # the input.  Rate 0.1 keeps the 1% band at 3 sigma for 1e4 seeds.
@@ -321,10 +334,30 @@ def scatter_rows(ids: np.ndarray, trailing: tuple, rng) -> np.ndarray:
     return x
 
 
+def layout_rows(ids: np.ndarray, layout: str, rng) -> np.ndarray:
+    """Rows 3 wide stored transposed (not C-contiguous), or rows 0 wide."""
+    if layout == "transposed":
+        x = scatter_rows(ids, (3,), rng).T.copy().T
+        assert not x.flags.c_contiguous
+        return x
+    return np.zeros((len(ids), 0))
+
+
 def assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
     """Same shape and same bytes, so -0.0 and 0.0 differ."""
     assert actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
+
+
+def assert_softmax_bits_equal(ids: np.ndarray, x: np.ndarray, upstream: np.ndarray) -> None:
+    """segment_softmax of ``x`` and its gradient against ``upstream`` equal the references bit for bit."""
+    expected = segment_softmax_reference(x, ids, SCATTER_SEGMENTS)
+    a = T.parameter(x)
+    out = T.segment_softmax(a, ids, SCATTER_SEGMENTS)
+    assert_bits_equal(out.values, expected)
+    T.backward(T.sum_all(T.mul(out, T.constant(upstream))))
+    dot = scatter_sum_reference(ids, upstream * expected, SCATTER_SEGMENTS)
+    assert_bits_equal(a.grad, expected * (upstream - dot[ids]))
 
 
 class TestScatterAgainstReference:
@@ -341,11 +374,7 @@ class TestScatterAgainstReference:
     @pytest.mark.parametrize("ids", [SCATTER_IDS, SCATTER_IDS_TILED], ids=["small", "tiled"])
     @pytest.mark.parametrize("layout", ["transposed", "zero-width"])
     def test_segment_sum_input_layouts(self, ids, layout):
-        if layout == "transposed":
-            x = scatter_rows(ids, (3,), stream(16, "scatter-sum-t")).T.copy().T
-            assert not x.flags.c_contiguous
-        else:
-            x = np.zeros((len(ids), 0))
+        x = layout_rows(ids, layout, stream(16, "scatter-sum-t"))
         out = T.segment_sum(T.constant(x), ids, SCATTER_SEGMENTS)
         assert_bits_equal(out.values, scatter_sum_reference(ids, x, SCATTER_SEGMENTS))
 
@@ -357,14 +386,14 @@ class TestScatterAgainstReference:
     def test_segment_softmax_and_gradient(self, ids, trailing):
         rng = stream(13, "scatter-softmax")
         x = scatter_rows(ids, trailing, rng)
-        upstream = scatter_rows(ids, trailing, rng)
-        expected = segment_softmax_reference(x, ids, SCATTER_SEGMENTS)
-        a = T.parameter(x)
-        out = T.segment_softmax(a, ids, SCATTER_SEGMENTS)
-        assert_bits_equal(out.values, expected)
-        T.backward(T.sum_all(T.mul(out, T.constant(upstream))))
-        dot = scatter_sum_reference(ids, upstream * expected, SCATTER_SEGMENTS)
-        assert_bits_equal(a.grad, expected * (upstream - dot[ids]))
+        assert_softmax_bits_equal(ids, x, scatter_rows(ids, trailing, rng))
+
+    @pytest.mark.parametrize("ids", [SCATTER_IDS, SCATTER_IDS_TILED], ids=["small", "tiled"])
+    @pytest.mark.parametrize("layout", ["transposed", "zero-width"])
+    def test_segment_softmax_input_layouts(self, ids, layout):
+        rng = stream(18, "scatter-softmax-t")
+        x = layout_rows(ids, layout, rng)
+        assert_softmax_bits_equal(ids, x, layout_rows(ids, layout, rng))
 
     @pytest.mark.parametrize("ids, trailing", small_and_tiled([(), (3,), (2, 3)]))
     def test_gather_rows_gradient(self, ids, trailing):
@@ -393,18 +422,23 @@ class TestScatterAgainstReference:
         np.testing.assert_array_equal(a.grad, np.zeros((4, 3)))
 
 
-def test_segment_summer_kernel_known_answer():
+def test_segment_sum_kernel_known_answer():
     """Three rows, a duplicate id and an empty segment, through scipy's
     private ``csc_matvecs`` kernel that every segment sum calls."""
     ids = np.array([2, 0, 2], dtype=np.intp)
     x = np.array([[1.0, -0.0], [3.0, 4.0], [5.0, -0.0]])
     try:
-        out = T._segment_summer(ids, 3, (2,))(x)
+        out = T._segment_sum(ids, 3, x)
     except (AttributeError, TypeError, ValueError) as exc:
         pytest.fail(f"scipy {scipy.__version__}: sparse._sparsetools.csc_matvecs is missing or changed: {exc!r}")
     # Sums start from +0.0, so -0.0 + -0.0 lands as +0.0, as with np.add.at.
     expected = np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 0.0]])
     assert out.tobytes() == expected.tobytes(), f"scipy {scipy.__version__}: csc_matvecs gave {out.tolist()}"
+    # A row count that differs from the ids' fails in the reshape, before
+    # the kernel reads past the input.
+    for rows in (3, 1):
+        with pytest.raises(ValueError, match="cannot reshape"):
+            T._segment_sum(ids[:2], 3, x[:rows])
 
 
 # An index op over 4 source rows (2 segments) whose ids are edited in place
@@ -562,7 +596,8 @@ class TestIndexDtypes:
 
 
 # Shape faults that numpy or Python would report as ValueError, AxisError or
-# IndexError; each names the shapes involved.
+# IndexError, or that no numpy call would catch; each message holds the
+# given substring, the shapes involved where there are any.
 SHAPE_FAULTS = {
     "add": (lambda: T.add(T.constant(np.ones((2, 3))), T.constant(np.ones(4))), "(2, 3) and (4,)"),
     "sub": (lambda: T.sub(T.constant(np.ones((2, 3))), T.constant(np.ones((3, 2)))), "(2, 3) and (3, 2)"),
@@ -578,6 +613,27 @@ SHAPE_FAULTS = {
         lambda: T.segment_softmax(T.constant(1.0), [0], 1),
         "shape (1,) do not match rows of shape ()",
     ),
+    "item_of_two": (lambda: T.constant([1.0, 2.0]).item(), "single-element tensor, got shape (2,)"),
+    "matmul_1d": (lambda: T.matmul(T.constant(np.ones(3)), T.constant(np.ones((3, 2)))), "got (3,) and (3, 2)"),
+    "concat_empty": (lambda: T.concat([]), "concat needs at least one tensor"),
+    "layer_norm_gain": (
+        lambda: T.layer_norm(T.constant(np.ones((2, 3))), T.constant(np.ones(2)), T.constant(np.zeros(3))),
+        "must have shape (3,), got (2,) and (3,)",
+    ),
+    "segment_softmax_no_rows": (
+        lambda: T.segment_softmax(T.constant(np.zeros((0, 2))), [], 1),
+        "segment_softmax needs at least one row",
+    ),
+    "cross_entropy_1d": (lambda: T.cross_entropy(T.constant(np.ones(3)), [0, 1, 0]), "2-D logits, got shape (3,)"),
+    "cross_entropy_labels": (
+        lambda: T.cross_entropy(T.constant(np.ones((2, 3))), [0, 1, 2]),
+        "labels must have shape (2,), got (3,)",
+    ),
+    "cross_entropy_no_rows": (
+        lambda: T.cross_entropy(T.constant(np.zeros((0, 3))), []),
+        "cross_entropy needs at least one row",
+    ),
+    "mse_empty": (lambda: T.mse(T.constant(np.zeros((2, 0))), T.constant(np.zeros((2, 0)))), "mse of empty tensors"),
 }
 
 
