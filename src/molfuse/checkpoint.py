@@ -123,7 +123,11 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def load_into(path: str | Path, params: dict[str, Tensor]) -> None:
-    """Load a checkpoint into an existing parameter collection, checking shapes."""
+    """Load a checkpoint into an existing parameter collection, checking shapes.
+
+    All or nothing: every name and shape is checked before the first
+    assignment, so a ``DataError`` leaves every parameter as it was.
+    """
     arrays = load_arrays(path)
     if set(arrays) != set(params):
         missing = set(params) - set(arrays)
@@ -132,4 +136,5 @@ def load_into(path: str | Path, params: dict[str, Tensor]) -> None:
     for name, p in params.items():
         if arrays[name].shape != p.shape:
             raise DataError(f"{path}: shape mismatch for {name!r}: {arrays[name].shape} vs {p.shape}")
+    for name, p in params.items():
         p.values = arrays[name]

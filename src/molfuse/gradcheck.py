@@ -61,15 +61,13 @@ def max_relative_error(
     zero_grads(p for _, p in ordered)
     backward(make_loss())
     analytic = {name: (p.grad if p.grad is not None else np.zeros_like(p.values)) for name, p in ordered}
-    sizes = np.array([p.size for _, p in ordered])
-    total = int(sizes.sum())
-    picks = rng.integers(0, total, size=n_points)
+    sizes = [p.size for _, p in ordered]
+    ends = np.cumsum(sizes)
+    picks = rng.integers(0, int(ends[-1]), size=n_points)
     worst = 0.0
     for pick in picks:
-        k = 0
-        while pick >= sizes[k]:
-            pick -= sizes[k]
-            k += 1
+        k = int(np.searchsorted(ends, pick, side="right"))
+        pick -= ends[k] - sizes[k]
         name, param = ordered[k]
         a = float(analytic[name].reshape(-1)[pick])
         n = numeric_partial(make_loss, param, int(pick))
@@ -95,9 +93,7 @@ def _away_from_zero(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 
 OP_CASES: dict[str, tuple[Callable[..., Tensor], tuple[tuple[int, ...], ...], Sampler]] = {
     "add": (T.add, ((3, 4), (4,)), _normal),
-    "sub": (T.sub, ((3, 4), (3, 1)), _normal),
     "mul": (T.mul, ((3, 4), (1, 4)), _normal),
-    "neg": (T.neg, ((2, 5),), _normal),
     "scale": (lambda a: T.scale(a, 1.7), ((2, 5),), _normal),
     "matmul": (T.matmul, ((4, 5), (5, 3)), _normal),
     "concat": (lambda a, b: T.concat([a, b], axis=1), ((3, 2), (3, 4)), _normal),
@@ -109,7 +105,7 @@ OP_CASES: dict[str, tuple[Callable[..., Tensor], tuple[tuple[int, ...], ...], Sa
     "gelu": (T.gelu, ((3, 4),), _normal),
     "softmax": (T.softmax, ((3, 5),), _normal),
     # The shift keeps the gain away from zero.
-    "layer_norm": (lambda a, g, b: T.layer_norm(a, g + 1.5, b), ((4, 6), (6,), (6,)), _normal),
+    "layer_norm": (lambda a, g, b: T.layer_norm(a, g + T.constant(1.5), b), ((4, 6), (6,), (6,)), _normal),
     # A fresh stream per call gives the same mask on every evaluation, so
     # finite differences see one realized function.
     "dropout": (lambda a: T.dropout(a, 0.4, "train", stream(123, "dropout-case")), ((4, 6),), _normal),

@@ -50,8 +50,8 @@ Conventions:
   returned, which may be read-only or shared with other tensors; read them,
   never write them.  Accumulation is always out of place (``grad + g``).
   A rule returns ``None`` in the slot of an input that does not require
-  gradients (``add``, ``sub``, ``mul`` and ``matmul`` do, so a product
-  with a constant computes one side only); ``backward`` skips that slot.
+  gradients (``add``, ``mul`` and ``matmul`` do, so a product with a
+  constant computes one side only); ``backward`` skips that slot.
 * ``no_grad`` is per thread and per async context.
 * Subgradients at kinks (leaky_relu, elu) take the right-hand value, so
   the derivative at exactly 0 is the positive-side one.
@@ -152,7 +152,9 @@ class Tensor:
     ``grad`` is populated by :func:`backward` and accumulates additively
     until cleared.  A leaf's ``grad`` is its own writable array; an interior
     tensor's ``grad`` may be a read-only view or shared with other tensors,
-    so treat it as read-only.
+    so treat it as read-only.  ``a + b`` and ``a * b`` are :func:`add` and
+    :func:`mul`; both operands must be tensors (wrap a number or array with
+    :func:`constant`), and no other operator is defined.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "op", "inputs", "backward_rule")
@@ -197,34 +199,10 @@ class Tensor:
     # ---- operator sugar -----------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return add(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
+        return mul(self, other) if isinstance(other, Tensor) else NotImplemented
 
 
 def constant(values) -> Tensor:
@@ -301,9 +279,9 @@ def backward(loss: Tensor) -> None:
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     _accumulate(loss, np.ones_like(loss.values))
+    # Every taped tensor requires gradients, and a rule returns an array for
+    # each input that does, so each one has a grad before the sweep reaches it.
     for t in reversed(Tape.trace(loss)):
-        if t.grad is None:
-            continue
         grads = t.backward_rule(t.grad)
         for tensor, grad in zip(t.inputs, grads):
             if grad is None or not tensor.requires_grad:
@@ -361,21 +339,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, "add", (a, b), rule)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.values - b.values
-    except ValueError:
-        raise _broadcast_error("sub", a, b) from None
-
-    def rule(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _make(out, "sub", (a, b), rule)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         out = a.values * b.values
@@ -389,10 +352,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _make(out, "mul", (a, b), rule)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.values, "neg", (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, factor: float) -> Tensor:

@@ -104,7 +104,7 @@ class TestTape:
 class TestFiniteDifferenceSuite:
     def test_registry_covers_differentiable_ops(self):
         expected = {
-            "add", "sub", "mul", "neg", "scale", "matmul", "concat", "gather_rows",
+            "add", "mul", "scale", "matmul", "concat", "gather_rows",
             "sum_all", "leaky_relu", "elu", "gelu", "softmax", "layer_norm",
             "dropout", "segment_sum", "segment_softmax", "cross_entropy", "mse",
         }

@@ -62,13 +62,26 @@ def test_load_into_rejects_name_mismatch(tmp_path, params):
         load_into(path, wrong)
 
 
-def test_load_into_rejects_shape_mismatch(tmp_path, params):
+# The fixture's first and last parameters; a mismatch on either must leave
+# every parameter as it was.
+@pytest.mark.parametrize(
+    "name, shape, message",
+    [
+        ("gat.0.W", (16, 9), r"shape mismatch for 'gat\.0\.W': \(9, 16\) vs \(16, 9\)"),
+        ("scalar", (1,), r"shape mismatch for 'scalar': \(\) vs \(1,\)"),
+    ],
+    ids=["first", "last"],
+)
+def test_load_into_rejects_shape_mismatch(tmp_path, params, name, shape, message):
     path = tmp_path / "model.ckpt"
     save_params(path, params)
-    wrong = {name: T.parameter(np.zeros(p.shape)) for name, p in params.items()}
-    wrong["gat.0.W"] = T.parameter(np.zeros((16, 9)))
-    with pytest.raises(DataError, match=r"shape mismatch for 'gat\.0\.W': \(9, 16\) vs \(16, 9\)"):
+    wrong = {n: T.parameter(np.zeros(p.shape)) for n, p in params.items()}
+    wrong[name] = T.parameter(np.zeros(shape))
+    before = {n: p.values for n, p in wrong.items()}
+    with pytest.raises(DataError, match=message):
         load_into(path, wrong)
+    for n, p in wrong.items():
+        assert p.values is before[n]
 
 
 def test_trailing_bytes_rejected(tmp_path, params):
