@@ -17,8 +17,9 @@ A symlinked target is written through, and the link stays.  A save refuses
 a NaN or infinite value with :class:`NumericError` naming its parameter, and
 a name or shape whose header line would not load back with
 :class:`DataError`.  Every malformed file raises
-:class:`DataError`; a fault in a header line names its line number, and a
-NaN or infinite value names its parameter.
+:class:`DataError`; a fault in a header line, including a shape numpy
+cannot hold, names its line number, and a NaN or infinite value names its
+parameter.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import os
 import re
 import stat
+import sys
 import threading
 from pathlib import Path
 
@@ -104,7 +106,15 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
         name, dims = match.groups()
         if name in shapes:
             raise DataError(f"{path}: line {number}: duplicate parameter {name!r}")
-        shapes[name] = () if dims == "scalar" else tuple(int(d) for d in dims.split("x"))
+        try:
+            shape = () if dims == "scalar" else tuple(int(d) for d in dims.split("x"))
+        except ValueError:  # a dimension longer than int()'s digit limit
+            shape = None
+        # numpy refuses a shape whose byte count, zero dimensions left out,
+        # exceeds sys.maxsize, even when a zero dimension makes it empty.
+        if shape is None or math.prod(d for d in shape if d) * 8 > sys.maxsize:
+            raise DataError(f"{path}: line {number}: parameter {name!r} has a shape numpy cannot hold")
+        shapes[name] = shape
     out: dict[str, np.ndarray] = {}
     offset = head_end
     for name, shape in shapes.items():

@@ -366,8 +366,6 @@ def parse_smiles(s: str) -> ParsedMolecule:
         raise SmilesError("unclosed branch parenthesis", len(s))
     if open_rings:
         raise SmilesError("unmatched ring-closure digit", len(s))
-    if not atoms:
-        raise SmilesError("no atoms in SMILES string", 0)
 
     # A bond is on a ring iff it closes one or lies on the tree path between a
     # closure's atoms.  The larger index is never the other's ancestor, so

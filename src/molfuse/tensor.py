@@ -19,10 +19,10 @@ Conventions:
   elementwise ``isfinite`` test, so exactly the same arrays pass and fail.
   ``gather_rows`` is the one op that checks another array: every entry of
   its output is an entry of its source, so when the source is no larger
-  than the output, a finite source proves the output finite.  Only when
-  that check fails, or the source is larger, is the output itself checked,
-  so the same gathers pass and fail as with an output check; the proven
-  output is then wrapped without a second check (``_make(finite=True)``).
+  than the output, a finite source proves the output finite, and that
+  proof is ``_make``'s ``finite`` argument.  Only when the proof fails, or
+  the source is larger, does ``_make`` check the output itself, so the
+  same gathers pass and fail as with an output check.
 * Row gathers (the ``gather_rows`` forward, the ``segment_sum`` backward,
   and ``segment_softmax``'s gathers of per-segment maxima, denominators and
   backward dot products) use
@@ -38,9 +38,9 @@ Conventions:
   order, as an unbuffered NumPy scatter-add does, so results are
   bit-identical to that scatter, signed zeros included.  The kernel trusts
   its ids and writes outside the output for a wrong one, so every index op
-  passes it a private ``intp`` copy (``_index_array``) that was
-  range-checked; editing the caller's array after the forward changes
-  nothing.  The kernel is private to scipy: a tier-1 known-answer test of
+  passes it the private, range-checked ``intp`` copy that ``_ids`` returns;
+  editing the caller's array after the forward changes nothing.  The
+  kernel is private to scipy: a tier-1 known-answer test of
   ``_segment_sum`` names the scipy version if an upgrade renames it or
   changes its signature.  ``segment_softmax``'s per-segment maxima are one
   1-D ``np.maximum.at`` per trailing column, into a (columns, segments)
@@ -57,12 +57,15 @@ Conventions:
   the derivative at exactly 0 is the positive-side one.
 * Stochastic ops take an explicit ``numpy.random.Generator``.
 * Index arguments (``gather_rows`` indices, segment ids, ``cross_entropy``
-  labels) must have an integer dtype; a float or boolean array raises
-  :class:`~molfuse.errors.DataError` rather than being truncated or read
-  as 0/1.  Empty input of any dtype passes, since ``[]`` is float64.  An id
-  outside its range (below 0, or at least the row, segment or class count)
-  also raises ``DataError``.  A segment count that is not a non-negative
-  integer (``operator.index``, ``bool`` excluded) raises ``ShapeError``.
+  labels) pass one check, ``_ids``, in this order: an integer dtype, else
+  :class:`~molfuse.errors.DataError` (a float or boolean array is not
+  truncated or read as 0/1; empty input of any dtype passes, since ``[]``
+  is float64); 1-D, with one entry per row for segment ids and labels,
+  else :class:`~molfuse.errors.ShapeError`; every id in [0, n) for the
+  row, segment or class count n, else ``DataError``.  Each message starts
+  with the argument's name.  A 0-d tensor, having no rows, and a segment
+  count that is not a non-negative integer (``operator.index``, ``bool``
+  excluded) raise ``ShapeError`` before the ids are read.
 * Memory: importing this module sets glibc's ``M_MMAP_THRESHOLD`` to 1 GiB
   and ``M_TRIM_THRESHOLD`` to 2**31 - 1 through ``mallopt``.  glibc gives
   each allocation above its mmap threshold, which adapts but is capped at
@@ -392,45 +395,41 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, "concat", tuple(tensors), rule)
 
 
-def _index_array(values, name: str) -> Array:
-    """A private ``intp`` copy of ``values``; any non-integer dtype raises ``DataError``.
+def _ids(values, name: str, count: int, rows: int | None = None) -> Array:
+    """A private ``intp`` copy of ``values``, checked as an index array
+    (module docstring): integer dtype, 1-D with ``rows`` entries when
+    given, ids in [0, count).
 
-    The copy is what the op checks and what its backward rule reads later,
-    so a caller editing its own array cannot reach either.
+    Read as unsigned (``uintp``), a negative id exceeds any count, so one
+    ``max`` finds ids below 0 and at or above ``count`` alike.  The op and
+    its backward rule read the copy, so a caller editing its own array
+    cannot reach either.
     """
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise DataError(f"{name} must have an integer dtype, got {arr.dtype}")
-    return arr.astype(np.intp)
-
-
-def _check_range(ids: Array, n: int, message: str) -> None:
-    """Raise ``DataError(message.format(n))`` unless every ``intp`` id lies in [0, n).
-
-    Read as unsigned (``uintp``), a negative id exceeds any array length, so
-    one ``max`` finds ids below 0 and ids at or above ``n`` alike.
-    """
-    if ids.size and ids.view(np.uintp).max() >= n:
-        raise DataError(message.format(n))
+    if arr.ndim != 1 or rows is not None and arr.shape[0] != rows:
+        want = "1-D" if rows is None else f"1-D with {rows} entries"
+        raise ShapeError(f"{name} must be {want}, got shape {arr.shape}")
+    ids = arr.astype(np.intp)
+    if ids.size and ids.view(np.uintp).max() >= count:
+        raise DataError(f"{name} must lie in [0, {count})")
+    return ids
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows by integer index; duplicates accumulate in the gradient."""
-    idx = _index_array(indices, "gather_rows indices")
-    if idx.ndim != 1 or a.ndim == 0:
-        raise ShapeError(f"gather_rows needs rows and a 1-D index array, got shapes {a.shape} and {idx.shape}")
+    if a.ndim == 0:
+        raise ShapeError(f"gather_rows needs a tensor with rows, got shape {a.shape}")
     n = a.shape[0]
-    _check_range(idx, n, "gather_rows index out of range [0, {})")
+    idx = _ids(indices, "gather_rows indices", n)
     out = a.values.take(idx, axis=0)
-    # A finite source proves the output finite (module docstring); the
-    # output is checked when the source is larger or holds a non-finite row.
-    if not ((a.size <= out.size and _all_finite(a.values)) or _all_finite(out)):
-        raise NumericError("non-finite values produced by gather_rows")
 
     def rule(g):
         return (_segment_sum(idx, n, g),)
 
-    return _make(out, "gather_rows", (a,), rule, finite=True)
+    # A finite source proves the output finite (module docstring).
+    return _make(out, "gather_rows", (a,), rule, finite=a.size <= out.size and _all_finite(a.values))
 
 
 # ---- reductions ---------------------------------------------------------------
@@ -560,11 +559,9 @@ def _checked_segments(segment_ids, shape: tuple[int, ...], num_segments) -> tupl
         raise ShapeError(
             f"num_segments must be a non-negative integer, got {num_segments} ({type(num_segments).__name__})"
         )
-    seg = _index_array(segment_ids, "segment_ids")
-    if not shape or seg.shape != shape[:1]:
-        raise ShapeError(f"segment ids of shape {seg.shape} do not match rows of shape {shape}")
-    _check_range(seg, count, "segment ids must lie in [0, {})")
-    return seg, count
+    if not shape:
+        raise ShapeError(f"segment ops need a tensor with rows, got shape {shape}")
+    return _ids(segment_ids, "segment ids", count, shape[0]), count
 
 
 def _segment_sum(ids: Array, num_segments: int, x: Array) -> Array:
@@ -573,8 +570,8 @@ def _segment_sum(ids: Array, num_segments: int, x: Array) -> Array:
     One ``csc_matvecs`` product with the indicator whose column ``j`` holds
     a 1 in row ``ids[j]``; it visits columns in order, adding each segment's
     rows one at a time in row order as an unbuffered scatter-add does.
-    ``ids`` must be a private ``intp`` array checked against
-    ``num_segments``: the kernel reads them unchecked.
+    ``ids`` must come from ``_ids`` with ``count=num_segments``: the kernel
+    reads them unchecked.
     """
     rows, row_shape = ids.shape[0], x.shape[1:]
     width = math.prod(row_shape)
@@ -638,13 +635,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy needs 2-D logits, got shape {logits.shape}")
-    y = _index_array(labels, "cross_entropy labels")
     n, c = logits.shape
-    if y.shape != (n,):
-        raise ShapeError(f"labels must have shape ({n},), got {y.shape}")
+    y = _ids(labels, "cross_entropy labels", c, n)
     if n == 0:
         raise ShapeError("cross_entropy needs at least one row")
-    _check_range(y, c, "labels must lie in [0, {})")
     row_max = logits.values.max(axis=1, keepdims=True)
     z = np.exp(logits.values - row_max)
     totals = z.sum(axis=1, keepdims=True)

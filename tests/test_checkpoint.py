@@ -119,9 +119,14 @@ def test_bad_magic_rejected(tmp_path):
         (b"param a 1\nparam a 1\n", 4),
         (b"param a " + b"x".join([b"1"] * 33) + b"\n", 3),
         (b"param a 2x", 3),  # the terminator glued to a parameter line
+        # Empty shapes numpy cannot hold: a dimension above sys.maxsize, a
+        # byte count above it, and a dimension past int()'s digit limit.
+        (b"param a 0x99999999999999999999\n", 3),
+        (b"param a 0x4611686018427387904x4\n", 3),
+        (b"param a 0x" + b"9" * 4301 + b"\n", 3),
     ],
     ids=["field-count", "letter-dim", "empty-dim", "not-utf8", "negative-dim", "duplicate",
-         "too-many-dims", "glued-end"],
+         "too-many-dims", "glued-end", "huge-dim", "huge-bytes", "4301-digit-dim"],
 )
 def test_malformed_header_line_names_its_line(tmp_path, body, line):
     path = tmp_path / "bad.ckpt"

@@ -5,7 +5,9 @@ molecules and on generated strings, and the committed 50-molecule fixture
 pins every feature of every atom.
 """
 
+import ast
 import json
+import re
 import runpy
 from enum import IntEnum
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import molfuse.smiles
 from molfuse.errors import SmilesError, ValenceError
 from molfuse.rng import stream
 from molfuse.smiles import (
@@ -180,6 +183,22 @@ NEGATIVE_CORPUS_ERRORS = {
 }
 
 
+# Digit runs past the OpenSMILES field widths (one hydrogen-count digit, two
+# chirality-class or charge digits) and charges beyond +-15.  The long runs
+# exceed the 4300-digit limit of int() on strings.
+BRACKET_LIMIT_ERRORS = [
+    ("[CH" + "1" * 4301 + "]", "unexpected character '1' in bracket atom", 4),
+    ("[C@TH" + "1" * 4301 + "]", "undefined chirality class @TH11", 5),
+    ("[C+" + "1" * 4299 + "]", "unexpected character '1' in bracket atom", 5),
+    ("[C-" + "1" * 4299 + "]", "unexpected character '1' in bracket atom", 5),
+    ("[C+16]", "charge +16 out of range", 2),
+    ("[C+99]", "charge +99 out of range", 2),
+    ("[CH2-16]", "charge -16 out of range", 4),
+    ("[C" + "+" * 16 + "]", "charge +16 out of range", 2),
+    ("[C" + "-" * 4301 + "]", "charge -4301 out of range", 2),
+]
+
+
 class TestParserErrors:
     def test_negative_corpus_has_positioned_errors(self):
         rows = (FIXTURES / "invalid_smiles.tsv").read_text().strip().splitlines()
@@ -194,22 +213,9 @@ class TestParserErrors:
             assert type(err.value) is cls, smiles
             assert str(err.value) == f"{message} (offset {offset})"
 
-    # Digit runs past the OpenSMILES field widths (one hydrogen-count digit, two
-    # chirality-class or charge digits) and charges beyond +-15.  The long runs
-    # exceed the 4300-digit limit of int() on strings.
     @pytest.mark.parametrize(
         "smiles, message, offset",
-        [
-            ("[CH" + "1" * 4301 + "]", "unexpected character '1' in bracket atom", 4),
-            ("[C@TH" + "1" * 4301 + "]", "undefined chirality class @TH11", 5),
-            ("[C+" + "1" * 4299 + "]", "unexpected character '1' in bracket atom", 5),
-            ("[C-" + "1" * 4299 + "]", "unexpected character '1' in bracket atom", 5),
-            ("[C+16]", "charge +16 out of range", 2),
-            ("[C+99]", "charge +99 out of range", 2),
-            ("[CH2-16]", "charge -16 out of range", 4),
-            ("[C" + "+" * 16 + "]", "charge +16 out of range", 2),
-            ("[C" + "-" * 4301 + "]", "charge -4301 out of range", 2),
-        ],
+        BRACKET_LIMIT_ERRORS,
         ids=["h-run", "chiral-run", "plus-run", "minus-run", "plus16", "plus99", "minus16", "16-signs", "4301-signs"],
     )
     def test_bracket_digit_runs_and_charge_limit(self, smiles, message, offset):
@@ -225,6 +231,26 @@ class TestParserErrors:
         assert err.value.offset == 0
         assert type(err.value) is SmilesError
         assert str(err.value) == "empty SMILES string (offset 0)"
+
+    def test_every_raise_is_pinned(self):
+        # Each SmilesError/ValenceError raised in smiles.py has a message that
+        # a test pins: an f-string's fields may read anything, its text may not.
+        pinned = [message for _, message in NEGATIVE_CORPUS_ERRORS.values()]
+        pinned += [message for _, message, _ in BRACKET_LIMIT_ERRORS]
+        pinned.append("empty SMILES string")  # test_empty_string
+        tree = ast.parse(Path(molfuse.smiles.__file__).read_text())
+        raises = [
+            node.exc for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) in ("SmilesError", "ValenceError")
+        ]
+        assert raises
+        for call in raises:
+            message = call.args[0]
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            assert all(isinstance(part, (ast.Constant, ast.FormattedValue)) for part in parts), ast.unparse(call)
+            pattern = "".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts)
+            assert any(re.fullmatch(pattern, text) for text in pinned), f"unpinned: {ast.unparse(call)}"
 
     def test_valence_error_is_smiles_error(self):
         with pytest.raises(ValenceError):

@@ -593,10 +593,10 @@ INDEX_OPS = {
 BAD_INDICES = {"float": [0.9, 1.4, 0.2], "nan": [0.0, np.nan, 1.0], "bool": [True, False, True]}
 # Each op's index bound n above and the DataError message for an id outside [0, n).
 INDEX_RANGES = {
-    "gather_rows": (3, "gather_rows index out of range [0, 3)"),
+    "gather_rows": (3, "gather_rows indices must lie in [0, 3)"),
     "segment_sum": (2, "segment ids must lie in [0, 2)"),
     "segment_softmax": (2, "segment ids must lie in [0, 2)"),
-    "cross_entropy": (2, "labels must lie in [0, 2)"),
+    "cross_entropy": (2, "cross_entropy labels must lie in [0, 2)"),
 }
 # Out-of-range ids for a bound n; the uint64 ones wrap to negative intp values.
 OUT_OF_RANGE = {
@@ -645,11 +645,23 @@ SHAPE_FAULTS = {
         "[(2, 3), (2, 4)] on axis 0",
     ),
     "concat_axis": (lambda: T.concat([T.constant(np.ones((2, 3)))], axis=2), "[(2, 3)] on axis 2"),
-    "gather_rows_0d": (lambda: T.gather_rows(T.constant(1.0), [0]), "() and (1,)"),
-    "segment_sum_0d": (lambda: T.segment_sum(T.constant(1.0), [0], 1), "shape (1,) do not match rows of shape ()"),
+    "gather_rows_0d": (lambda: T.gather_rows(T.constant(1.0), [0]), "needs a tensor with rows, got shape ()"),
+    "gather_rows_2d_ids": (
+        lambda: T.gather_rows(T.constant(np.ones((3, 2))), [[0], [1]]),
+        "gather_rows indices must be 1-D, got shape (2, 1)",
+    ),
+    "segment_sum_0d": (lambda: T.segment_sum(T.constant(1.0), [0], 1), "need a tensor with rows, got shape ()"),
+    "segment_sum_2d_ids": (
+        lambda: T.segment_sum(T.constant(np.ones((3, 2))), [[0], [1], [0]], 2),
+        "segment ids must be 1-D with 3 entries, got shape (3, 1)",
+    ),
+    "segment_sum_short_ids": (
+        lambda: T.segment_sum(T.constant(np.ones((3, 2))), [0, 1], 2),
+        "segment ids must be 1-D with 3 entries, got shape (2,)",
+    ),
     "segment_softmax_0d": (
         lambda: T.segment_softmax(T.constant(1.0), [0], 1),
-        "shape (1,) do not match rows of shape ()",
+        "need a tensor with rows, got shape ()",
     ),
     "item_of_two": (lambda: T.constant([1.0, 2.0]).item(), "single-element tensor, got shape (2,)"),
     "matmul_1d": (lambda: T.matmul(T.constant(np.ones(3)), T.constant(np.ones((3, 2)))), "got (3,) and (3, 2)"),
@@ -665,7 +677,7 @@ SHAPE_FAULTS = {
     "cross_entropy_1d": (lambda: T.cross_entropy(T.constant(np.ones(3)), [0, 1, 0]), "2-D logits, got shape (3,)"),
     "cross_entropy_labels": (
         lambda: T.cross_entropy(T.constant(np.ones((2, 3))), [0, 1, 2]),
-        "labels must have shape (2,), got (3,)",
+        "cross_entropy labels must be 1-D with 2 entries, got shape (3,)",
     ),
     "cross_entropy_no_rows": (
         lambda: T.cross_entropy(T.constant(np.zeros((0, 3))), []),
