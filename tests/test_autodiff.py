@@ -52,6 +52,17 @@ class TestBackwardBasics:
             y = T.mul(x, x)
         assert y.backward_rule is None and not y.requires_grad
 
+    def test_one_no_grad_instance_nests(self):
+        x = T.parameter([1.0])
+        guard = T.no_grad()
+        with guard:
+            with guard:
+                inner = T.mul(x, x)
+            middle = T.mul(x, x)
+        assert not inner.requires_grad and not middle.requires_grad
+        y = T.mul(x, x)
+        assert y.requires_grad and y.backward_rule is not None
+
     def test_no_grad_in_one_thread_leaves_others_recording(self):
         x = T.parameter([1.0])
         entered, release = threading.Event(), threading.Event()

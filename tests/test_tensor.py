@@ -1,7 +1,10 @@
 """Forward semantics of the tensor ops, checked against independent oracles."""
 
+import importlib.util
 import math
 import platform
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,8 +471,11 @@ def test_segment_sum_kernel_known_answer():
     x = np.array([[1.0, -0.0], [3.0, 4.0], [5.0, -0.0]])
     try:
         out = T._segment_sum(ids, 3, x)
-    except (AttributeError, TypeError, ValueError) as exc:
-        pytest.fail(f"scipy {scipy.__version__}: sparse._sparsetools.csc_matvecs is missing or changed: {exc!r}")
+    except (TypeError, ValueError) as exc:
+        pytest.fail(
+            f"scipy {scipy.__version__}: csc_matvecs, loaded by file from scipy.sparse._sparsetools, "
+            f"changed its signature: {exc!r}"
+        )
     # Sums start from +0.0, so -0.0 + -0.0 lands as +0.0, as with np.add.at.
     expected = np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 0.0]])
     assert out.tobytes() == expected.tobytes(), f"scipy {scipy.__version__}: csc_matvecs gave {out.tolist()}"
@@ -478,6 +484,54 @@ def test_segment_sum_kernel_known_answer():
     for rows in (3, 1):
         with pytest.raises(ValueError, match="cannot reshape"):
             T._segment_sum(ids[:2], 3, x[:rows])
+
+
+def test_erf_kernel_matches_public_scipy_erf():
+    """``erf``, loaded by file from ``scipy.special._special_ufuncs``, is bit
+    for bit the public ``scipy.special.erf`` on 10k seeded points."""
+    import scipy.special
+
+    edges = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]
+    x = np.concatenate([stream(19, "erf-kernel").normal(scale=3.0, size=10_000 - len(edges)), edges])
+    got, expected = T.erf(x), scipy.special.erf(x)
+    assert got.tobytes() == expected.tobytes(), (
+        f"scipy {scipy.__version__}: erf from scipy.special._special_ufuncs differs from scipy.special.erf "
+        f"at {np.flatnonzero(got != expected)[:5].tolist()}"
+    )
+
+
+def test_gelu_forward_matches_math_erf():
+    # x * Phi(x) with Phi from math.erf.  gelu multiplies by 1/sqrt(2) where
+    # the oracle divides (2e-16 apart at +-0.5), the two erfs may differ in
+    # the last bit, and 1 + erf(x / sqrt 2) at x = -3 magnifies that about
+    # 740-fold: hence 1e-12 relative, and exact where the result is 0 or x.
+    points = [0.0, 1e-300, -1e-300, 0.5, -0.5, 3.0, -3.0, 40.0, -40.0]
+    out = T.gelu(T.constant(points)).values
+    expected = [x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in points]
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0.0)
+    assert out[0] == 0.0 and out[-1] == 0.0 and out[-2] == 40.0
+
+
+class TestScipyExtensionLoader:
+    def test_missing_file_names_module_and_directory(self):
+        directory = Path(importlib.util.find_spec("scipy").submodule_search_locations[0]) / "sparse"
+        with pytest.raises(ImportError) as info:
+            T._scipy_extension("sparse", "_no_such_module")
+        assert str(info.value) == (
+            f"cannot load scipy.sparse._no_such_module: no compiled _no_such_module module in {directory}"
+        )
+        assert "scipy.sparse._no_such_module" not in sys.modules
+
+    def test_missing_scipy_names_the_search_path(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match=r"^cannot load scipy\.special\._x: no compiled _x module in "
+                           r"sys\.path \(no scipy package found\)$"):
+            T._scipy_extension("special", "_x")
+
+    def test_loaded_module_is_registered_and_reused(self):
+        module = sys.modules["scipy.sparse._sparsetools"]
+        assert T._scipy_extension("sparse", "_sparsetools") is module
+        assert module.csc_matvecs is T._csc_matvecs
 
 
 # An index op over 4 source rows (2 segments) whose ids are edited in place
