@@ -26,10 +26,6 @@ class DataError(MolfuseError, ValueError):
     """Input data violates a documented contract."""
 
 
-class MetricError(MolfuseError, ValueError):
-    """A metric is undefined for the given inputs."""
-
-
 class SmilesError(MolfuseError, ValueError):
     """SMILES string cannot be parsed.  Carries the character offset."""
 

@@ -1,8 +1,8 @@
 """Deterministic random streams on the counter-based Philox generator.
 
-Every stochastic operation in the package (weight init, shuffling, dropout)
-takes an explicit generator, obtained here from a (seed, name) pair.  Streams
-with different names are statistically independent and stable across runs and
+Every stochastic operation in the package (weight init, shuffling) takes an
+explicit generator, obtained here from a (seed, name) pair.  Streams with
+different names are statistically independent and stable across runs and
 platforms.
 """
 

@@ -47,16 +47,18 @@ Conventions:
   maxima are one 1-D ``np.maximum.at`` per trailing column, into a
   (columns, segments) buffer; a maximum is exact in any visiting order.
 * Gradient ownership: a leaf's ``grad`` is a private array that the caller
-  may edit in place.  Interior tensors keep the array their consumer's rule
-  returned, which may be read-only or shared with other tensors; read them,
-  never write them.  Accumulation is always out of place (``grad + g``).
+  may edit in place, and it accumulates across ``backward`` calls.  Interior
+  tensors keep the array their consumer's rule returned, which may be
+  read-only or shared with other tensors; read them, never write them.  An
+  interior ``grad`` holds the most recent ``backward`` that reached it:
+  each call clears the ``grad`` of every tensor on its tape before the
+  sweep.  Accumulation is always out of place (``grad + g``).
   A rule returns ``None`` in the slot of an input that does not require
   gradients (``add``, ``mul`` and ``matmul`` do, so a product with a
   constant computes one side only); ``backward`` skips that slot.
 * ``no_grad`` is per thread and per async context.
 * Subgradients at kinks (leaky_relu, elu) take the right-hand value, so
   the derivative at exactly 0 is the positive-side one.
-* Stochastic ops take an explicit ``numpy.random.Generator``.
 * Index arguments (``gather_rows`` indices, segment ids, ``cross_entropy``
   labels) pass one check, ``_ids``, in this order: an integer dtype, else
   :class:`~molfuse.errors.DataError` (a float or boolean array is not
@@ -109,11 +111,11 @@ import operator
 import os
 import sys
 from contextvars import ContextVar
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DataError, NumericError, ParameterError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 
 Array = np.ndarray
 BackwardRule = Callable[[Array], tuple]
@@ -206,9 +208,10 @@ class Tensor:
 
     ``requires_grad`` marks leaves whose gradient should be accumulated;
     tensors produced by operations on such leaves carry the flag implicitly.
-    ``grad`` is populated by :func:`backward` and accumulates additively
-    until cleared.  A leaf's ``grad`` is its own writable array; an interior
-    tensor's ``grad`` may be a read-only view or shared with other tensors,
+    ``grad`` is populated by :func:`backward`.  A leaf's ``grad``
+    accumulates additively until cleared and is its own writable array; an
+    interior tensor's ``grad`` holds the most recent ``backward`` that
+    reached it, and may be a read-only view or shared with other tensors,
     so treat it as read-only.  ``a + b`` and ``a * b`` are :func:`add` and
     :func:`mul`; both operands must be tensors (wrap a number or array with
     :func:`constant`), and no other operator is defined.
@@ -329,16 +332,22 @@ class Tape(list):
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad ancestor of a scalar loss.
 
-    Gradients accumulate additively, both across multiple uses of a value
-    inside one graph and across repeated backward calls (clear with
-    ``zero_grad`` between steps).
+    Gradients accumulate additively across multiple uses of a value inside
+    one graph.  A leaf's ``grad`` also accumulates across repeated backward
+    calls (clear with ``zero_grad`` between steps); an interior tensor's
+    ``grad`` is reset, so it holds the most recent call that reached it.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    tape = Tape.trace(loss)
+    # An interior grad from an earlier call would be added in again and
+    # passed on to the leaves, so every taped tensor starts from None.
+    for t in tape:
+        t.grad = None
     _accumulate(loss, np.ones_like(loss.values))
     # Every taped tensor requires gradients, and a rule returns an array for
     # each input that does, so each one has a grad before the sweep reaches it.
-    for t in reversed(Tape.trace(loss)):
+    for t in reversed(tape):
         grads = t.backward_rule(t.grad)
         for tensor, grad in zip(t.inputs, grads):
             if grad is None or not tensor.requires_grad:
@@ -430,23 +439,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ b.values.T if a.requires_grad else None, a.values.T @ g if b.requires_grad else None)
 
     return _make(out, "matmul", (a, b), rule)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    arrays = [t.values for t in tensors]
-    try:
-        out = np.concatenate(arrays, axis=axis)
-    except ValueError:  # also numpy's AxisError
-        raise ShapeError(f"concat cannot join shapes {[a.shape for a in arrays]} on axis {axis}") from None
-    sizes = [arr.shape[axis] for arr in arrays]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def rule(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _make(out, "concat", tuple(tensors), rule)
 
 
 def _ids(values, name: str, count: int, rows: int | None = None) -> Array:
@@ -580,22 +572,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(out, "layer_norm", (a, gain, bias), rule)
 
 
-def dropout(a: Tensor, rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: eval mode is the identity, train mode rescales survivors."""
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must lie in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ParameterError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
-        return a
-    if rng is None:
-        raise ParameterError("train-mode dropout needs an explicit rng")
-    keep = rng.random(a.shape) >= rate
-    factor = keep / (1.0 - rate)
-    out = a.values * factor
-    return _make(out, "dropout", (a,), lambda g: (g * factor,))
-
-
 # ---- segment operations (graph aggregation) -----------------------------------
 
 
@@ -704,19 +680,3 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
     return _make(out, "cross_entropy", (logits,), rule)
 
-
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared difference over all elements."""
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse shapes disagree: {pred.shape} vs {target.shape}")
-    if pred.size == 0:
-        raise ShapeError("mse of empty tensors")
-    diff = pred.values - target.values
-    out = float((diff * diff).mean())
-    n = pred.size
-
-    def rule(g):
-        base = np.asarray(g) * 2.0 * diff / n
-        return base, -base
-
-    return _make(out, "mse", (pred, target), rule)

@@ -1,7 +1,9 @@
-"""Package metadata points only at code that exists, and the pytest settings
-report every failure."""
+"""Package metadata points only at code that exists, every public name has a
+user, and the pytest settings report every failure."""
 
+import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -13,7 +15,8 @@ import pytest
 
 import molfuse
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_console_scripts_resolve_to_callables():
@@ -39,6 +42,52 @@ def test_module_docstrings_cite_only_existing_private_names():
         cited = set(re.findall(r"``(_\w+)``", module.__doc__ or ""))
         missing = sorted(name for name in cited if not hasattr(module, name))
         assert not missing, f"{module.__name__} docstring cites {missing}"
+
+
+def _names_used(path: Path) -> set[str]:
+    """Names a file uses as a Name, an Attribute's attr or an import alias,
+    outside the annotated assignment of ``OP_CASES`` (its rows only register
+    ops for gradient checks)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skipped = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id == "OP_CASES"
+    }
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_public_name_has_a_user():
+    # A public function or class is kept only while package or benchmark
+    # code names it; tests alone do not count as a user.
+    package = Path(molfuse.__file__).parent
+    sources = sorted(package.glob("*.py")) + [
+        p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")
+    ]
+    used = set().union(*map(_names_used, sources))
+    # Tier-1's finite-difference suite is check_case's user.
+    exempt = {"molfuse.gradcheck.check_case"}
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module("molfuse" if path.stem == "__init__" else f"molfuse.{path.stem}")
+        for name, obj in vars(module).items():
+            public = not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            qualname = f"{module.__name__}.{name}"
+            if public and obj.__module__ == module.__name__ and name not in used and qualname not in exempt:
+                unused.append(qualname)
+    assert not unused, f"no package or benchmark code uses {unused}"
 
 
 def test_fresh_import_loads_only_two_compiled_scipy_modules():
