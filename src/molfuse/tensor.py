@@ -46,17 +46,16 @@ Conventions:
   renames, moves or changes either.  ``segment_softmax``'s per-segment
   maxima are one 1-D ``np.maximum.at`` per trailing column, into a
   (columns, segments) buffer; a maximum is exact in any visiting order.
-* Gradient ownership: a leaf's ``grad`` is a private array that the caller
-  may edit in place, and it accumulates across ``backward`` calls.  Interior
-  tensors keep the array their consumer's rule returned, which may be
-  read-only or shared with other tensors; read them, never write them.  An
-  interior ``grad`` holds the most recent ``backward`` that reached it:
-  each call clears the ``grad`` of every tensor on its tape before the
-  sweep.  Accumulation is always out of place (``grad + g``).
+* Gradient ownership: only leaves (tensors with no backward rule) get a
+  ``grad``.  It is a private array that the caller may edit in place, and
+  it accumulates out of place (``grad + g``) across ``backward`` calls.
+  Interior gradients live in ``backward``'s sweep only, each freed once its
+  tensor's rule has used it, so an interior ``grad`` stays ``None``.
   A rule returns ``None`` in the slot of an input that does not require
   gradients (``add``, ``mul`` and ``matmul`` do, so a product with a
   constant computes one side only); ``backward`` skips that slot.
-* ``no_grad`` is per thread and per async context.
+* ``no_grad`` is a depth per thread and per async context, so one instance
+  may be nested and shared by threads in any order.
 * Subgradients at kinks (leaky_relu, elu) take the right-hand value, so
   the derivative at exactly 0 is the positive-side one.
 * Index arguments (``gather_rows`` indices, segment ids, ``cross_entropy``
@@ -143,7 +142,8 @@ _keep_freed_memory()
 def _scipy_extension(subpackage: str, name: str):
     """Load the compiled module ``scipy.<subpackage>.<name>`` by its file.
 
-    ``find_spec`` locates scipy without running ``scipy/__init__``, and the
+    ``find_spec`` locates scipy without running ``scipy/__init__``,
+    ``PathFinder`` finds the file in the subpackage's directory, and the
     module is registered under its real dotted name, so a later ``import
     scipy.<subpackage>`` reuses it instead of loading the file again.
     """
@@ -153,44 +153,37 @@ def _scipy_extension(subpackage: str, name: str):
     scipy_spec = importlib.util.find_spec("scipy")
     roots = scipy_spec.submodule_search_locations if scipy_spec is not None else ()
     directories = [os.path.join(root, subpackage) for root in roots]
-    for directory in directories:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(directory, name + suffix)
-            if os.path.isfile(path):
-                spec = importlib.util.spec_from_file_location(module_name, path)
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-                sys.modules[module_name] = module
-                return module
-    searched = ", ".join(directories) if directories else "sys.path (no scipy package found)"
-    raise ImportError(f"cannot load {module_name}: no compiled {name} module in {searched}", name=module_name)
+    spec = importlib.machinery.PathFinder.find_spec(module_name, directories)
+    if spec is None:
+        searched = ", ".join(directories) if directories else "sys.path (no scipy package found)"
+        raise ImportError(f"cannot load {module_name}: no compiled {name} module in {searched}", name=module_name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[module_name] = module
+    return module
 
 
 _csc_matvecs = _scipy_extension("sparse", "_sparsetools").csc_matvecs
 erf = _scipy_extension("special", "_special_ufuncs").erf
 
-_grad_enabled: ContextVar[bool] = ContextVar("molfuse_grad_enabled", default=True)
+_no_grad_depth: ContextVar[int] = ContextVar("molfuse_no_grad_depth", default=0)
 
 
 class no_grad:
     """Context manager that disables recording of backward rules.
 
-    The switch is a context variable, so it covers the current thread or
-    async task only.  One instance may be nested in itself; each exit
-    restores the state its matching entry saw.  Its entries form one stack,
-    so threads or tasks sharing an instance must exit in reverse order of
-    entry.
+    Each entry adds one to a depth and each exit takes one away; ops record
+    only at depth 0.  The depth is a context variable, so it covers the
+    current thread or async task only, and one instance may be nested in
+    itself or shared by threads that enter and exit in any order.
     """
 
-    def __init__(self):
-        self._tokens = []
-
     def __enter__(self):
-        self._tokens.append(_grad_enabled.set(False))
+        _no_grad_depth.set(_no_grad_depth.get() + 1)
         return self
 
     def __exit__(self, *exc):
-        _grad_enabled.reset(self._tokens.pop())
+        _no_grad_depth.set(_no_grad_depth.get() - 1)
         return False
 
 
@@ -208,13 +201,12 @@ class Tensor:
 
     ``requires_grad`` marks leaves whose gradient should be accumulated;
     tensors produced by operations on such leaves carry the flag implicitly.
-    ``grad`` is populated by :func:`backward`.  A leaf's ``grad``
-    accumulates additively until cleared and is its own writable array; an
-    interior tensor's ``grad`` holds the most recent ``backward`` that
-    reached it, and may be a read-only view or shared with other tensors,
-    so treat it as read-only.  ``a + b`` and ``a * b`` are :func:`add` and
-    :func:`mul`; both operands must be tensors (wrap a number or array with
-    :func:`constant`), and no other operator is defined.
+    :func:`backward` populates ``grad`` on leaves only; it accumulates
+    additively until cleared and is its own writable array.  An interior
+    tensor's ``grad`` stays ``None``.  ``a + b`` and ``a * b`` are
+    :func:`add` and :func:`mul`; both operands must be tensors (wrap a
+    number or array with :func:`constant`), and no other operator is
+    defined.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "op", "inputs", "backward_rule")
@@ -291,7 +283,7 @@ def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRu
     t = Tensor.__new__(Tensor)
     t.values, t.grad, t.op = values, None, op
     t.requires_grad, t.inputs, t.backward_rule = False, (), None
-    if _grad_enabled.get():
+    if not _no_grad_depth.get():
         for inp in inputs:
             if inp.requires_grad:
                 t.requires_grad, t.inputs, t.backward_rule = True, inputs, backward_rule
@@ -330,39 +322,36 @@ class Tape(list):
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad ancestor of a scalar loss.
+    """Populate ``grad`` on every leaf ancestor of a scalar loss.
 
     Gradients accumulate additively across multiple uses of a value inside
-    one graph.  A leaf's ``grad`` also accumulates across repeated backward
-    calls (clear with ``zero_grad`` between steps); an interior tensor's
-    ``grad`` is reset, so it holds the most recent call that reached it.
+    one graph, and a leaf's ``grad`` also across repeated backward calls
+    (clear with ``zero_grad`` between steps).  Interior gradients are local
+    to the sweep.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    tape = Tape.trace(loss)
-    # An interior grad from an earlier call would be added in again and
-    # passed on to the leaves, so every taped tensor starts from None.
-    for t in tape:
-        t.grad = None
-    _accumulate(loss, np.ones_like(loss.values))
-    # Every taped tensor requires gradients, and a rule returns an array for
-    # each input that does, so each one has a grad before the sweep reaches it.
-    for t in reversed(tape):
-        grads = t.backward_rule(t.grad)
-        for tensor, grad in zip(t.inputs, grads):
+    if loss.backward_rule is None:
+        _accumulate(loss, np.ones_like(loss.values))
+        return
+    # Interior gradients by tensor id.  Every taped tensor requires
+    # gradients, and a rule returns an array for each input that does, so
+    # each one has an entry before the sweep reaches it.
+    pending = {id(loss): np.ones_like(loss.values)}
+    for t in reversed(Tape.trace(loss)):
+        for tensor, grad in zip(t.inputs, t.backward_rule(pending.pop(id(t)))):
             if grad is None or not tensor.requires_grad:
                 continue
-            _accumulate(tensor, grad)
+            if tensor.backward_rule is None:
+                _accumulate(tensor, grad)
+            else:
+                key = id(tensor)
+                pending[key] = pending[key] + grad if key in pending else grad
 
 
-def _accumulate(tensor: Tensor, grad: Array) -> None:
-    """Add ``grad`` out of place; only leaves copy it on first write."""
-    if tensor.grad is not None:
-        tensor.grad = tensor.grad + grad
-    elif tensor.backward_rule is None:
-        tensor.grad = np.array(grad, dtype=np.float64, copy=True)
-    else:
-        tensor.grad = grad
+def _accumulate(leaf: Tensor, grad: Array) -> None:
+    """Add ``grad`` to a leaf's ``grad`` out of place, copying it on first write."""
+    leaf.grad = np.array(grad, dtype=np.float64, copy=True) if leaf.grad is None else leaf.grad + grad
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

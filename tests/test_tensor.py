@@ -379,13 +379,14 @@ class TestScatterAgainstReference:
 
     def test_gather_rows_gradient_non_contiguous_upstream(self):
         # mul's gradient takes the Fortran order of a transposed constant, so
-        # gather_rows receives a non-C-contiguous gradient.
+        # gather_rows receives a non-C-contiguous gradient.  sum_all hands mul
+        # a broadcast view of ones, which has no order of its own.
         rng = stream(15, "scatter-gather-t")
         a = T.parameter(rng.normal(size=(SCATTER_SEGMENTS, 3)))
         upstream = rng.normal(size=(3, len(SCATTER_IDS))).T
-        picked = T.gather_rows(a, SCATTER_IDS)
-        T.backward(T.sum_all(T.mul(picked, T.constant(upstream))))
-        assert not picked.grad.flags.c_contiguous
+        product = T.mul(T.gather_rows(a, SCATTER_IDS), T.constant(upstream))
+        assert not product.backward_rule(np.broadcast_to(1.0, product.shape))[0].flags.c_contiguous
+        T.backward(T.sum_all(product))
         assert_bits_equal(a.grad, scatter_sum_reference(SCATTER_IDS, upstream, SCATTER_SEGMENTS))
 
     def test_gather_rows_empty_index(self):
@@ -528,12 +529,12 @@ class TestFiniteCheckAndGradientContracts:
         a.grad[0] += 5.0
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
-    def test_interior_grads_are_read_only(self):
+    def test_backward_leaves_no_grad_on_taped_tensors(self):
         a = T.parameter([1.0, 2.0])
-        y = T.mul(a, a)
-        T.backward(T.sum_all(y))
-        assert y.backward_rule is not None
-        assert not y.grad.flags.writeable
+        loss = T.sum_all(T.mul(T.scale(a, 3.0), a))
+        T.backward(loss)
+        tape = T.Tape.trace(loss)
+        assert len(tape) == 3 and all(t.grad is None for t in tape)
         assert a.grad.flags.writeable
 
     @pytest.mark.parametrize("op", [T.add, T.mul, T.matmul])
