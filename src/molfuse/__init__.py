@@ -13,8 +13,9 @@ files), :mod:`molfuse.rng` (named seeded streams) and :mod:`molfuse.errors`.
 The model, the metrics and the command line are not written yet.
 One seed gives byte-identical inference outputs at any BLAS thread count,
 since the forward's products are too small for OpenBLAS to split their
-reductions; training is byte-identical only at a fixed thread count, since
-the weight-gradient products reduce over every row of a batch.
+reductions; training is byte-identical, from one process to the next, only
+at a fixed thread count, since the weight-gradient products reduce over
+every row of a batch.
 Importing :mod:`molfuse.tensor`, which the optimizer, checkpoint and
 gradcheck modules import, makes glibc keep freed array memory in the
 process heap for the rest of the process (its "Memory" note says why). It

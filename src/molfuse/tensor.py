@@ -10,19 +10,42 @@ recorded operations in reverse topological order (see :class:`Tape`).
 Conventions:
 
 * float64 everywhere; all stored values must be finite (a non-finite result
-  raises :class:`~molfuse.errors.NumericError` at construction).  Every op
-  checks its result, because ``Tensor.values`` may be reassigned from
-  outside (optimizer steps, direct assignment) without a check.  The check
-  (``_all_finite``) first takes the sum of squares with one ``vdot``: NaN
-  and +-inf propagate into it, so a finite sum proves every entry finite.
-  A sum that overflows (entries beyond about 1e154) falls back to the
-  elementwise ``isfinite`` test, so exactly the same arrays pass and fail.
-  ``gather_rows`` is the one op that checks another array: every entry of
-  its output is an entry of its source, so when the source is no larger
-  than the output, a finite source proves the output finite, and that
-  proof is ``_make``'s ``finite`` argument.  Only when the proof fails, or
-  the source is larger, does ``_make`` check the output itself, so the
-  same gathers pass and fail as with an output check.
+  raises :class:`~molfuse.errors.NumericError` at construction).  The exact
+  check (``_all_finite``) first takes the sum of squares with one ``vdot``:
+  NaN and +-inf propagate into it, so a finite sum proves every entry
+  finite.  A sum that overflows (entries beyond about 1e154) falls back to
+  the elementwise ``isfinite`` test.  ``Tensor(...)`` runs it on every
+  constructed array.  An op result is instead proven finite from its
+  inputs, at O(1) cost, without reading its output:
+
+  - Each op result caches a bound on ``max|entry|`` together with the array
+    it belongs to, and its ``values`` are read-only.  ``values`` may still be
+    reassigned from outside (``adam_step`` and ``load_into`` do, without a
+    check), and then the cache no longer matches.
+  - ``_bound`` reads an input's bound: the cached one while ``values`` is
+    the cached array, else ``sqrt(vdot(v, v))``, which is NaN or inf when it
+    proves nothing.  So leaves, which callers and ``gradcheck`` edit in
+    place, and reassigned results are bounded afresh at each use.  Such an
+    input that is larger than the op's output is not read at all: the
+    output is checked instead, which is cheaper (a gather may also pick
+    only the finite rows of a partly non-finite source).
+  - From its inputs' bounds B, each op bounds its result by: ``add``
+    B(a)+B(b); ``mul`` B(a)·B(b); ``scale`` |f|·B(a); ``matmul`` K·B(a)·B(b)
+    for inner size K; ``gather_rows``, ``leaky_relu`` and ``gelu`` B(a);
+    ``elu`` B(a)+1; ``sum_all`` size·B(a); ``segment_sum`` rows·B(a);
+    ``softmax`` and ``segment_softmax`` 1, if 2·B(a) is at most the limit
+    (the shifted inputs are then finite, each exponential is at most 1 and
+    each denominator at least 1); ``cross_entropy`` 2·B+log C+1 for C
+    classes, on the same condition; ``layer_norm`` √d·B(gain)+B(bias) for
+    last-axis size d, if 4·d·B(a)² is at most the limit (the centered sum
+    of squares is then finite, and each normalized entry is at most √d).
+  - ``_make`` skips the output when the bound is at most ``_LIMIT`` (1e300).
+    Otherwise it runs the exact check and caches the square root of the sum
+    of squares (inf once that overflows).  Rounding in the bound arithmetic
+    is a few ulps per op (K·eps for ``matmul``), far inside the factor of
+    1.8e8 between the limit and the largest double.  So exactly the same
+    arrays pass and fail as with an exact check of every result, and the
+    error names the same op.
 * Row gathers (the ``gather_rows`` forward, the ``segment_sum`` backward,
   and ``segment_softmax``'s gathers of per-segment maxima, denominators and
   backward dot products) use
@@ -203,19 +226,22 @@ class Tensor:
     tensors produced by operations on such leaves carry the flag implicitly.
     :func:`backward` populates ``grad`` on leaves only; it accumulates
     additively until cleared and is its own writable array.  An interior
-    tensor's ``grad`` stays ``None``.  ``a + b`` and ``a * b`` are
+    tensor's ``grad`` stays ``None``.  An op result's ``values`` are
+    read-only, since its finiteness proof rests on them (module docstring);
+    change them by reassigning ``values``.  ``a + b`` and ``a * b`` are
     :func:`add` and :func:`mul`; both operands must be tensors (wrap a
     number or array with :func:`constant`), and no other operator is
     defined.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "op", "inputs", "backward_rule")
+    __slots__ = ("values", "requires_grad", "grad", "op", "inputs", "backward_rule", "_bounded", "_max")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
         if not _all_finite(arr):
             raise NumericError("non-finite values produced by tensor construction")
         self.values = arr
+        self._bounded = None  # a leaf's values may be edited in place, so no bound is cached
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self.op: str | None = None
@@ -268,20 +294,39 @@ def parameter(values) -> Tensor:
 
 
 _FLOAT64 = np.dtype(np.float64)
+_LIMIT = 1e300  # an op's bound at most this proves its result finite (module docstring)
 
 
-def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRule, finite: bool = False) -> Tensor:
+def _bound(t: Tensor, out: Array) -> float:
+    """A bound on ``max|entry|`` of ``t``, or NaN or inf where none is known.
+
+    ``t`` is not read when its bound is not cached and it is larger than
+    ``out``, the result of the op reading it: that result is checked instead.
+    """
+    v = t.values
+    if t._bounded is v:
+        return t._max
+    return math.inf if v.size > out.size else math.sqrt(np.vdot(v, v))
+
+
+def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRule, bound: float) -> Tensor:
     """Wrap an op result, recording the backward rule only when needed.
 
-    The lean twin of ``Tensor(...)``: a float64 ndarray is kept as it is,
-    and ``finite=True`` skips the check for a result the op proved finite.
+    The lean twin of ``Tensor(...)``: a float64 ndarray is kept as it is and
+    made read-only.  ``bound`` is the op's bound on ``max|entry|`` from its
+    inputs' bounds; one above ``_LIMIT``, or NaN, proves nothing, and then
+    the result is checked and bounded by the root of its sum of squares.
     """
     if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
         values = np.asarray(values, dtype=np.float64)
-    if not (finite or _all_finite(values)):
-        raise NumericError(f"non-finite values produced by {op}")
+    if not bound <= _LIMIT:
+        squares = np.vdot(values, values)
+        if not (math.isfinite(squares) or np.isfinite(values).all()):
+            raise NumericError(f"non-finite values produced by {op}")
+        bound = math.sqrt(squares)
+    values.setflags(False)  # positional: the keyword form costs more than twice as much
     t = Tensor.__new__(Tensor)
-    t.values, t.grad, t.op = values, None, op
+    t.values, t.grad, t.op, t._bounded, t._max = values, None, op, values, bound
     t.requires_grad, t.inputs, t.backward_rule = False, (), None
     if not _no_grad_depth.get():
         for inp in inputs:
@@ -391,7 +436,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g, b.shape) if b.requires_grad else None,
         )
 
-    return _make(out, "add", (a, b), rule)
+    return _make(out, "add", (a, b), rule, _bound(a, out) + _bound(b, out))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -406,12 +451,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g * a.values, b.shape) if b.requires_grad else None,
         )
 
-    return _make(out, "mul", (a, b), rule)
+    return _make(out, "mul", (a, b), rule, _bound(a, out) * _bound(b, out))
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     f = float(factor)
-    return _make(a.values * f, "scale", (a,), lambda g: (g * f,))
+    out = a.values * f
+    return _make(out, "scale", (a,), lambda g: (g * f,), abs(f) * _bound(a, out))
 
 
 # ---- linear algebra -----------------------------------------------------------
@@ -427,7 +473,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def rule(g):
         return (g @ b.values.T if a.requires_grad else None, a.values.T @ g if b.requires_grad else None)
 
-    return _make(out, "matmul", (a, b), rule)
+    return _make(out, "matmul", (a, b), rule, a.shape[1] * _bound(a, out) * _bound(b, out))
 
 
 def _ids(values, name: str, count: int, rows: int | None = None) -> Array:
@@ -463,8 +509,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     def rule(g):
         return (_segment_sum(idx, n, g),)
 
-    # A finite source proves the output finite (module docstring).
-    return _make(out, "gather_rows", (a,), rule, finite=a.size <= out.size and _all_finite(a.values))
+    return _make(out, "gather_rows", (a,), rule, _bound(a, out))
 
 
 # ---- reductions ---------------------------------------------------------------
@@ -472,7 +517,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = a.values.sum()
-    return _make(out, "sum_all", (a,), lambda g: (np.broadcast_to(g, a.shape),))
+    return _make(out, "sum_all", (a,), lambda g: (np.broadcast_to(g, a.shape),), a.size * _bound(a, out))
 
 
 # ---- nonlinearities -----------------------------------------------------------
@@ -481,7 +526,8 @@ def sum_all(a: Tensor) -> Tensor:
 def leaky_relu(a: Tensor) -> Tensor:
     """Leaky ReLU with negative slope 0.2, as in GAT attention scores."""
     slope = np.where(a.values >= 0, 1.0, 0.2)
-    return _make(a.values * slope, "leaky_relu", (a,), lambda g: (g * slope,))
+    out = a.values * slope
+    return _make(out, "leaky_relu", (a,), lambda g: (g * slope,), _bound(a, out))
 
 
 def elu(a: Tensor) -> Tensor:
@@ -493,7 +539,7 @@ def elu(a: Tensor) -> Tensor:
     def rule(g):
         return (g * np.where(pos, 1.0, expm1 + 1.0),)
 
-    return _make(out, "elu", (a,), rule)
+    return _make(out, "elu", (a,), rule, _bound(a, out) + 1.0)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -509,7 +555,12 @@ def gelu(a: Tensor) -> Tensor:
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.values * a.values)
         return (g * (cdf + a.values * pdf),)
 
-    return _make(out, "gelu", (a,), rule)
+    return _make(out, "gelu", (a,), rule, _bound(a, out))
+
+
+def _probability_bound(a: Tensor, out: Array) -> float:
+    """1 for a softmax of ``a`` whose shifted inputs (at most 2·B(a)) are finite, else inf."""
+    return 1.0 if 2.0 * _bound(a, out) <= _LIMIT else math.inf
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -525,7 +576,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         dot = (g * out).sum(axis=ax, keepdims=True)
         return (out * (g - dot),)
 
-    return _make(out, "softmax", (a,), rule)
+    return _make(out, "softmax", (a,), rule, _probability_bound(a, out))
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -558,7 +609,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         reduce_axes = tuple(range(a.ndim - 1))
         return g_a, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
-    return _make(out, "layer_norm", (a, gain, bias), rule)
+    b = _bound(a, out)
+    bound = math.sqrt(d) * _bound(gain, out) + _bound(bias, out) if 4.0 * d * b * b <= _LIMIT else math.inf
+    return _make(out, "layer_norm", (a, gain, bias), rule, bound)
 
 
 # ---- segment operations (graph aggregation) -----------------------------------
@@ -612,7 +665,7 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     def rule(g):
         return (np.asarray(g).take(seg, axis=0),)
 
-    return _make(out, "segment_sum", (a,), rule)
+    return _make(out, "segment_sum", (a,), rule, a.shape[0] * _bound(a, out))
 
 
 def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -638,7 +691,7 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
         dot = _segment_sum(seg, num_segments, g * out)
         return (out * (g - dot.take(seg, axis=0)),)
 
-    return _make(out, "segment_softmax", (a,), rule)
+    return _make(out, "segment_softmax", (a,), rule, _probability_bound(a, out))
 
 
 # ---- losses -------------------------------------------------------------------
@@ -660,12 +713,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     z = np.exp(logits.values - row_max)
     totals = z.sum(axis=1, keepdims=True)
     lse = np.log(totals) + row_max
-    out = float((lse[:, 0] - logits.values[np.arange(n), y]).mean())
+    out = (lse[:, 0] - logits.values[np.arange(n), y]).mean()
 
     def rule(g):
         probs = z / totals
         probs[np.arange(n), y] -= 1.0
         return (np.asarray(g) * probs / n,)
 
-    return _make(out, "cross_entropy", (logits,), rule)
+    b = _bound(logits, out)
+    bound = 2.0 * b + math.log(c) + 1.0 if 2.0 * b <= _LIMIT else math.inf
+    return _make(out, "cross_entropy", (logits,), rule, bound)
 

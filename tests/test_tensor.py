@@ -5,6 +5,7 @@ import math
 import platform
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from molfuse import tensor as T
 from molfuse.errors import DataError, NumericError, ShapeError
+from molfuse.gradcheck import OP_CASES
 from molfuse.rng import stream
 
 try:
@@ -567,6 +569,96 @@ class TestGatherRowsFiniteness:
         np.testing.assert_array_equal(T.gather_rows(a, picked).values, np.ones((len(picked), 2)))
         with pytest.raises(NumericError, match=r"^non-finite values produced by gather_rows$"):
             T.gather_rows(a, picked[:-1] + [rows - 1])
+
+
+def bounded(values) -> T.Tensor:
+    """An op result holding ``values``, so that its bound is cached."""
+    return T.scale(T.constant(values), 1.0)
+
+
+def run_recording(call):
+    """Call ``call()``, recording each op result's name, proving bound and tensor.
+
+    Returns the records and the ``NumericError`` message, if one was raised.
+    """
+    made, records = T._make, []
+
+    def spy(values, op, inputs, backward_rule, bound):
+        t = made(values, op, inputs, backward_rule, bound)
+        records.append((op, bound, t))
+        return t
+
+    with mock.patch.object(T, "_make", spy), np.errstate(all="ignore"):
+        try:
+            call()
+        except NumericError as exc:
+            return records, str(exc)
+    return records, None
+
+
+@pytest.mark.parametrize("name", OP_CASES)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.floats(-3.0, 200.0), min_size=3, max_size=3))
+def test_bound_proof_agrees_with_exact_check(name, seed, exponents):
+    """Each op's bound covers its result, and the proof passes and fails the
+    same calls, with the same bytes, as an exact check of every result."""
+    op, shapes, sample = OP_CASES[name]
+    rng = np.random.default_rng(seed)
+    arrays = [sample(rng, shape) * 10.0**e for shape, e in zip(shapes, exponents)]
+
+    def call():
+        op(*[bounded(x) for x in arrays])
+
+    proved, proved_error = run_recording(call)
+    for op_name, bound, t in proved:
+        if bound <= T._LIMIT and t.size:
+            assert t._max >= np.abs(t.values).max(), op_name
+    with mock.patch.object(T, "_LIMIT", -math.inf):
+        checked, checked_error = run_recording(call)
+    assert proved_error == checked_error
+    assert [(n, t.values.tobytes()) for n, _, t in proved] == [(n, t.values.tobytes()) for n, _, t in checked]
+
+
+# The next op after an op result's values were reassigned; r is that result,
+# k another op result.
+NEXT_OPS = {
+    "add": T.add,
+    "mul": T.mul,
+    "matmul": T.matmul,
+    "segment_sum": lambda r, k: T.segment_sum(r, [0, 0], 1),
+}
+
+
+class TestReassignedResults:
+    """An op result's cached bound holds only for the array it was made with."""
+
+    def test_op_result_values_are_read_only(self):
+        r = bounded(np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            r.values[0, 0] = 2.0
+        assert T.constant(np.ones(2)).values.flags.writeable
+
+    @pytest.mark.parametrize("op", NEXT_OPS)
+    def test_reassigned_nan_fails_the_next_op(self, op):
+        r = bounded(np.ones((2, 2)))
+        r.values = np.array([[1.0, np.nan], [1.0, 1.0]])
+        with pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
+            NEXT_OPS[op](r, bounded(np.ones((2, 2))))
+
+    @pytest.mark.parametrize("op", ["mul", "matmul"])
+    def test_reassigned_huge_values_fail_the_next_product(self, op):
+        # r's stale bound (2) times k's would prove the overflowing product finite.
+        r = bounded(np.ones((2, 2)))
+        r.values = np.full((2, 2), 1e200)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
+            NEXT_OPS[op](r, bounded(np.full((2, 2), 1e109)))
+
+    @pytest.mark.parametrize("op", ["add", "segment_sum"])
+    def test_reassigned_huge_values_are_bounded_again(self, op):
+        r = bounded(np.ones((2, 2)))
+        r.values = np.full((2, 2), 1e200)
+        out = NEXT_OPS[op](r, bounded(np.ones((2, 2))))
+        assert out._max >= np.abs(out.values).max() >= 1e200
 
 
 # Each op takes 3 index entries; after truncation every bad input below
