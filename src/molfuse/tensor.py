@@ -23,9 +23,10 @@ Conventions:
     reassigned from outside (``adam_step`` and ``load_into`` do, without a
     check), and then the cache no longer matches.
   - ``_bound`` reads an input's bound: the cached one while ``values`` is
-    the cached array, else ``sqrt(vdot(v, v))``, which is NaN or inf when it
-    proves nothing.  So leaves, which callers and ``gradcheck`` edit in
-    place, and reassigned results are bounded afresh at each use.  Such an
+    the cached array, else its ``_norm``, the root of the sum of squares,
+    which is NaN or inf when it proves nothing.  So leaves, which callers
+    and ``gradcheck`` edit in place, and reassigned results are bounded
+    afresh at each use.  Such an
     input that is larger than the op's output is not read at all: the
     output is checked instead, which is cheaper (a gather may also pick
     only the finite rows of a partly non-finite source).
@@ -40,12 +41,18 @@ Conventions:
     last-axis size d, if 4·d·B(a)² is at most the limit (the centered sum
     of squares is then finite, and each normalized entry is at most √d).
   - ``_make`` skips the output when the bound is at most ``_LIMIT`` (1e300).
-    Otherwise it runs the exact check and caches the square root of the sum
-    of squares (inf once that overflows).  Rounding in the bound arithmetic
-    is a few ulps per op (K·eps for ``matmul``), far inside the factor of
-    1.8e8 between the limit and the largest double.  So exactly the same
-    arrays pass and fail as with an exact check of every result, and the
-    error names the same op.
+    Otherwise it runs the exact check and caches the ``_norm`` (inf once
+    the sum of squares overflows).  Rounding in the bound arithmetic is a
+    few ulps per op (K·eps for ``matmul``), far inside the factor of 1.8e8
+    between the limit and the largest double.  So exactly the same arrays
+    pass and fail as with an exact check of every result, and the error
+    names the same op.
+  - No bound is below ``_FLOOR`` (1.5e-154): ``_norm`` and ``_make`` raise
+    a smaller one to it.  Its square exceeds the smallest normal double, so
+    a sum of squares that underflows (entries below about 1e-162 give 0)
+    still yields a bound, and a product of two bounds never falls into the
+    subnormal range, where rounding keeps no relative precision.  Rounding
+    of results below the floor is far smaller than the floor.
 * Row gathers (the ``gather_rows`` forward, the ``segment_sum`` backward,
   and ``segment_softmax``'s gathers of per-segment maxima, denominators and
   backward dot products) use
@@ -210,13 +217,28 @@ class no_grad:
         return False
 
 
+_FLOOR = 1.5e-154  # the least bound; its square exceeds the smallest normal double
+
+
+def _norm(arr: Array) -> float:
+    """The root of ``arr``'s sum of squares, floored at ``_FLOOR``.
+
+    It bounds ``max|entry|`` (to within rounding), and is NaN or inf when
+    an entry is, or when the sum overflows.  The floor keeps it a bound when
+    the squares underflow: a sum of squares below the smallest normal double
+    leaves every entry below ``_FLOOR``.
+    """
+    r = math.sqrt(np.vdot(arr, arr))
+    return _FLOOR if r < _FLOOR else r
+
+
 def _all_finite(arr: Array) -> bool:
     """Whether every entry of a float64 array is finite (True when empty).
 
-    A finite ``vdot(arr, arr)`` proves it, since NaN and +-inf propagate
-    into a sum of squares; an overflowing sum falls back to the exact test.
+    A finite ``_norm`` proves it, since NaN and +-inf propagate into a sum
+    of squares; an overflowing sum falls back to the exact test.
     """
-    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+    return math.isfinite(_norm(arr)) or bool(np.isfinite(arr).all())
 
 
 class Tensor:
@@ -306,7 +328,7 @@ def _bound(t: Tensor, out: Array) -> float:
     v = t.values
     if t._bounded is v:
         return t._max
-    return math.inf if v.size > out.size else math.sqrt(np.vdot(v, v))
+    return math.inf if v.size > out.size else _norm(v)
 
 
 def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRule, bound: float) -> Tensor:
@@ -315,15 +337,17 @@ def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRu
     The lean twin of ``Tensor(...)``: a float64 ndarray is kept as it is and
     made read-only.  ``bound`` is the op's bound on ``max|entry|`` from its
     inputs' bounds; one above ``_LIMIT``, or NaN, proves nothing, and then
-    the result is checked and bounded by the root of its sum of squares.
+    the result is checked and bounded by its ``_norm``.  A bound below
+    ``_FLOOR`` is raised to it.
     """
     if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
         values = np.asarray(values, dtype=np.float64)
     if not bound <= _LIMIT:
-        squares = np.vdot(values, values)
-        if not (math.isfinite(squares) or np.isfinite(values).all()):
+        bound = _norm(values)
+        if not math.isfinite(bound) and not np.isfinite(values).all():
             raise NumericError(f"non-finite values produced by {op}")
-        bound = math.sqrt(squares)
+    elif bound < _FLOOR:
+        bound = _FLOOR
     values.setflags(False)  # positional: the keyword form costs more than twice as much
     t = Tensor.__new__(Tensor)
     t.values, t.grad, t.op, t._bounded, t._max = values, None, op, values, bound

@@ -598,7 +598,7 @@ def run_recording(call):
 
 @pytest.mark.parametrize("name", OP_CASES)
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.floats(-3.0, 200.0), min_size=3, max_size=3))
+@given(seed=st.integers(0, 2**32 - 1), exponents=st.lists(st.floats(-200.0, 200.0), min_size=3, max_size=3))
 def test_bound_proof_agrees_with_exact_check(name, seed, exponents):
     """Each op's bound covers its result, and the proof passes and fails the
     same calls, with the same bytes, as an exact check of every result."""
@@ -617,6 +617,43 @@ def test_bound_proof_agrees_with_exact_check(name, seed, exponents):
         checked, checked_error = run_recording(call)
     assert proved_error == checked_error
     assert [(n, t.values.tobytes()) for n, _, t in proved] == [(n, t.values.tobytes()) for n, _, t in checked]
+
+
+# Each chain starts from a leaf whose squares underflow to 0 and ends in an
+# op whose result is not finite; h is the leaf scaled by 1e300 (about 1e130).
+TINY = np.array([[1e-170, 2e-170], [3e-170, 1e-170]])
+UNDERFLOW_CHAINS = {
+    "scale": lambda h: T.scale(h, 1e300),
+    "mul": lambda h: T.mul(h, T.constant(np.full((2, 2), 1e300))),
+    "matmul": lambda h: T.matmul(h, T.constant(np.full((2, 2), 1e300))),
+    # The last row, 1.5e308 and 5e307, overflows its sum, so its mean.
+    "layer_norm": lambda h: T.layer_norm(T.scale(h, 5e177), T.constant(np.ones(2)), T.constant(np.zeros(2))),
+}
+
+
+@pytest.mark.parametrize("op", UNDERFLOW_CHAINS)
+def test_underflowing_bound_still_bounds(op):
+    """A root of a sum of squares that underflows to 0 is floored, so the
+    bounds stay above the values and the overflow is caught where an exact
+    check of every result catches it."""
+    h = T.scale(T.constant(TINY), 1e300)
+    assert h._max >= np.abs(h.values).max()
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
+        UNDERFLOW_CHAINS[op](h)
+    with mock.patch.object(T, "_LIMIT", -math.inf), np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
+            UNDERFLOW_CHAINS[op](T.scale(T.constant(TINY), 1e300))
+
+
+def test_subnormal_bound_arithmetic_is_floored():
+    # Unfloored, a's bound rounds to the least subnormal s, and the product
+    # bound 2*s*0.6 rounds to s, while each product s*0.6 rounds up to s and
+    # their sum is 2*s.
+    a = T.scale(T.constant([[1.0, 1.0]]), 5e-324)
+    b = T.gather_rows(T.constant([[0.6]]), [0, 0])
+    out = T.matmul(a, b)
+    assert out.values[0, 0] == 1e-323
+    assert out._max >= out.values[0, 0]
 
 
 # The next op after an op result's values were reassigned; r is that result,
