@@ -40,8 +40,10 @@ Explicit hydrogens written as their own atoms (e.g. ``[H]``) become graph
 nodes and count toward degree, not toward the hydrogen-count feature.
 Isotope labels and atom-class tags are parsed and discarded.
 
-The field order of :class:`AtomFeatures` is the column order of
-:meth:`MolecularGraph.feature_matrix`: enums by ordinal, flags as 0/1.
+``featurize`` stores each molecule's features as one float64 matrix,
+:attr:`MolecularGraph.features`, whose columns follow the field order of
+:class:`AtomFeatures` (enums by ordinal, flags as 0/1); the records of
+:attr:`MolecularGraph.atoms` are built from its rows when read.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -177,31 +178,39 @@ class AtomFeatures(NamedTuple):
 
 @dataclass
 class MolecularGraph:
-    """Featurized atoms plus an undirected bond list (i < j, no duplicates)."""
+    """Featurized atoms plus an undirected bond list (i < j, no duplicates).
 
-    atoms: list[AtomFeatures]
+    ``features`` is the stored (atoms, 9) float64 matrix the graph branch
+    reads, one row per atom in :class:`AtomFeatures` field order; ``atoms``
+    is its row view as records.
+    """
+
+    features: np.ndarray
     bonds: list[tuple[int, int, BondOrder]]
     source_smiles: str
 
     @property
     def num_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.features)
+
+    @property
+    def atoms(self) -> list[AtomFeatures]:
+        """The rows of ``features`` as records: enums as their members, flags as bools."""
+        return [
+            AtomFeatures(z, Chirality(c), deg, q, hs, rad, Hybridization(hyb), bool(ar), bool(ring))
+            for z, c, deg, q, hs, rad, hyb, ar, ring in self.feature_matrix().astype(int).tolist()
+        ]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.atoms, self.bonds, self.source_smiles) == (other.atoms, other.bonds, other.source_smiles)
 
     def bond_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, _ in self.bonds]
 
     def feature_matrix(self) -> np.ndarray:
-        """(atoms, 9) float64; with no atoms, the empty 1-D ``np.array([])``.
-
-        ``fromiter`` over the flattened fields gives the bytes of
-        ``np.array(self.atoms, dtype=np.float64)`` without its per-element
-        conversion.
-        """
-        n = len(self.atoms)
-        if not n:
-            return np.array(self.atoms, dtype=np.float64)
-        width = len(AtomFeatures._fields)
-        return np.fromiter(chain.from_iterable(self.atoms), np.float64, width * n).reshape(n, width)
+        return np.array(self.features, dtype=np.float64)
 
 
 # ---- grammar --------------------------------------------------------------------
@@ -423,8 +432,8 @@ def featurize(s: str) -> MolecularGraph:
         degree[a] += 1
         degree[b] += 1
 
-    features: list[AtomFeatures] = []
-    for atom, half_sum, deg, in_ring in zip(mol.atoms, half_sums, degree, mol.in_ring):
+    rows = []
+    for atom, half_sum, deg, ring in zip(mol.atoms, half_sums, degree, mol.in_ring):
         symbol, aromatic, charge = atom.symbol, atom.aromatic, atom.charge
         radicals = 0
         if atom.explicit_hs is None:
@@ -441,17 +450,5 @@ def featurize(s: str) -> MolecularGraph:
         else:
             lone_pairs = max(0, (outer - charge - half_sum // 2 - num_hs - radicals) // 2)
             hybrid = _STERIC_HYBRIDIZATION.get(deg + num_hs + lone_pairs, Hybridization.OTHER)
-        features.append(
-            AtomFeatures(
-                atomic_number=SYMBOL_TO_NUMBER[symbol],
-                chirality=atom.chirality,
-                degree=deg,
-                formal_charge=charge,
-                num_hs=num_hs,
-                radical_electrons=radicals,
-                hybridization=hybrid,
-                is_aromatic=aromatic,
-                in_ring=in_ring,
-            )
-        )
-    return MolecularGraph(atoms=features, bonds=mol.bonds, source_smiles=s)
+        rows.append((SYMBOL_TO_NUMBER[symbol], atom.chirality, deg, charge, num_hs, radicals, hybrid, aromatic, ring))
+    return MolecularGraph(np.array(rows, dtype=np.float64), mol.bonds, s)

@@ -39,7 +39,9 @@ Conventions:
     each denominator at least 1); ``cross_entropy`` 2·B+log C+1 for C
     classes, on the same condition; ``layer_norm`` √d·B(gain)+B(bias) for
     last-axis size d, if 4·d·B(a)² is at most the limit (the centered sum
-    of squares is then finite, and each normalized entry is at most √d).
+    of squares is then finite, and each normalized entry is at most √d);
+    otherwise it reads its per-row variance, since one that overflows
+    collapses the row to the bias, a finite but wrong output.
   - ``_make`` skips the output when the bound is at most ``_LIMIT`` (1e300).
     Otherwise it runs the exact check and caches the ``_norm`` (inf once
     the sum of squares overflows).  Rounding in the bound arithmetic is a
@@ -576,7 +578,10 @@ def gelu(a: Tensor) -> Tensor:
     out = a.values * cdf
 
     def rule(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.values * a.values)
+        # exp(-x²/2) underflows to exactly 0 from |x| = 40 on, so clipping there changes no
+        # gradient and keeps x² from overflowing.
+        c = np.minimum(np.abs(a.values), 40.0)
+        pdf = _INV_SQRT_2PI * np.exp((-0.5 * c) * c)
         return (g * (cdf + a.values * pdf),)
 
     return _make(out, "gelu", (a,), rule, _bound(a, out))
@@ -634,7 +639,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         return g_a, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
     b = _bound(a, out)
-    bound = math.sqrt(d) * _bound(gain, out) + _bound(bias, out) if 4.0 * d * b * b <= _LIMIT else math.inf
+    if 4.0 * d * b * b <= _LIMIT:
+        bound = math.sqrt(d) * _bound(gain, out) + _bound(bias, out)
+    elif not np.isfinite(var).all():  # overflowing squares give inv_std 0, a finite but wrong output
+        raise NumericError("non-finite values produced by layer_norm")
+    else:
+        bound = math.inf
     return _make(out, "layer_norm", (a, gain, bias), rule, bound)
 
 

@@ -447,11 +447,26 @@ class TestFeaturize:
             except SmilesError:
                 pass
         assert len(graphs) > 2000
+        types = (int, Chirality, int, int, int, int, Hybridization, bool, bool)
         for graph in graphs:
             expected = np.array(graph.atoms, dtype=np.float64)
             actual = graph.feature_matrix()
             assert actual.shape == expected.shape and actual.dtype == expected.dtype
             assert actual.tobytes() == expected.tobytes(), graph.source_smiles
+            for atom in graph.atoms:
+                assert tuple(map(type, atom)) == types, graph.source_smiles
+
+    def test_graph_equality_is_by_value(self):
+        graph = featurize("CC(=O)O")
+        assert graph == featurize("CC(=O)O")
+        assert MolecularGraph([], [], "") == MolecularGraph([], [], "")
+        swapped = featurize("CC(O)=O")  # the double bond on the other oxygen
+        anion = featurize("CC(=O)[O-]")  # the same bonds, one oxygen charged
+        assert swapped != graph and anion != graph
+        # Each field on its own tells graphs apart.
+        assert MolecularGraph(anion.features, graph.bonds, graph.source_smiles) != graph
+        assert MolecularGraph(graph.features, swapped.bonds, graph.source_smiles) != graph
+        assert MolecularGraph(graph.features, graph.bonds, "OC(C)=O") != graph
 
     def test_feature_matrix_columns_follow_field_order(self):
         # [nH+] in pyridinium: enums by ordinal, flags as 0/1.
@@ -478,6 +493,16 @@ class TestFeatureFixture:
             assert graph.num_atoms == len(expected_atoms), smiles
             for k, (atom, expected) in enumerate(zip(graph.atoms, expected_atoms)):
                 assert by_name(atom) == expected, f"{smiles} atom {k}"
+
+    def test_every_feature_row_matches_reference(self):
+        # The stored matrix itself against the hand-derived values, enums by ordinal.
+        ordinal = {"chirality": Chirality, "hybridization": Hybridization}
+        for smiles, expected_atoms in load_feature_fixture():
+            expected = [
+                [ordinal[k][atom[k]] if k in ordinal else atom[k] for k in AtomFeatures._fields]
+                for atom in expected_atoms
+            ]
+            assert featurize(smiles).feature_matrix().tolist() == expected, smiles
 
     def test_degree_consistency_over_corpus(self):
         for smiles, _ in load_feature_fixture():

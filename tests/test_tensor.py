@@ -4,6 +4,7 @@ import importlib.util
 import math
 import platform
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -136,6 +137,24 @@ class TestLayerNorm:
         g, b = self._gain_bias(0)
         with pytest.raises(ShapeError):
             T.layer_norm(T.constant(np.ones((2, 0))), g, b)
+
+    # The centered squares of these rows overflow, so the variance is inf and
+    # would collapse each row to the bias.  Each row is run at the real limit,
+    # which its bound exceeds, and with the exact check forced on every op.
+    @pytest.mark.parametrize("limit", [T._LIMIT, -math.inf], ids=["limit", "forced"])
+    @pytest.mark.parametrize("row", [[1e155, -1e155], [3.0, 1e160]])
+    def test_overflowing_variance_raises(self, row, limit):
+        g, b = self._gain_bias(2)
+        with mock.patch.object(T, "_LIMIT", limit), np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match=r"^non-finite values produced by layer_norm$"):
+                T.layer_norm(T.constant([row]), g, b)
+
+    @pytest.mark.parametrize("limit", [T._LIMIT, -math.inf], ids=["limit", "forced"])
+    def test_largest_squares_still_normalize(self, limit):
+        g, b = self._gain_bias(2)
+        with mock.patch.object(T, "_LIMIT", limit), np.errstate(all="ignore"):
+            out = T.layer_norm(T.constant([[1e153, -1e153]]), g, b)
+        np.testing.assert_array_equal(out.values, [[1.0, -1.0]])
 
 
 class TestLosses:
@@ -445,6 +464,15 @@ def test_gelu_forward_matches_math_erf():
     expected = [x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in points]
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0.0)
     assert out[0] == 0.0 and out[-1] == 0.0 and out[-2] == 40.0
+
+
+def test_gelu_backward_beyond_overflowing_square():
+    # x * x overflows above about 1.34e154; there the gradient is the cdf.
+    x = T.parameter([1e160, -1e160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T.backward(T.sum_all(T.gelu(x)))
+    np.testing.assert_array_equal(x.grad, [1.0, 0.0])
 
 
 class TestScipyExtensionLoader:
