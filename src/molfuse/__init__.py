@@ -18,7 +18,10 @@ at a fixed thread count, since the weight-gradient products reduce over
 every row of a batch.
 Importing :mod:`molfuse.tensor`, which the optimizer, checkpoint and
 gradcheck modules import, makes glibc keep freed array memory in the
-process heap for the rest of the process (its "Memory" note says why). It
+process heap for the rest of the process (its "Memory" note says why).
+:func:`molfuse.smiles.featurize` also keeps process-wide state: a memo of
+the graphs of its last 512 distinct strings, up to about 2.3 MB, which
+``featurize.cache_clear()`` frees. Importing :mod:`molfuse.tensor` also
 loads scipy's two compiled modules that it calls by file, without importing
 ``scipy.sparse`` or ``scipy.special``: a fresh ``import molfuse.tensor``
 takes about a third of the time and half the peak RSS that those packages

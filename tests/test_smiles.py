@@ -6,6 +6,7 @@ pins every feature of every atom.
 """
 
 import ast
+import dataclasses
 import json
 import re
 import runpy
@@ -424,8 +425,10 @@ class TestFeaturize:
         assert atom.radical_electrons == radicals
 
     def test_determinism(self):
-        a = featurize("CC(=O)Oc1ccccc1C(=O)O")
-        b = featurize("CC(=O)Oc1ccccc1C(=O)O")
+        # Two fresh computations, not one memoized graph compared with itself.
+        a = featurize.__wrapped__("CC(=O)Oc1ccccc1C(=O)O")
+        b = featurize.__wrapped__("CC(=O)Oc1ccccc1C(=O)O")
+        assert a is not b
         assert a.feature_matrix().tobytes() == b.feature_matrix().tobytes()
         assert a.bonds == b.bonds
 
@@ -435,7 +438,8 @@ class TestFeaturize:
 
     def test_feature_matrix_equals_array_of_atoms(self):
         # 2,000 benchmark-generator strings and both fixtures' strings; every
-        # string of the negative corpus raises and is skipped.
+        # string of the negative corpus raises and is skipped.  Each memoized
+        # graph also equals a fresh computation of its string.
         gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "gen.py"))
         strings = [m.smiles for m in gen["Generator"](stream(3, "feature-matrix"), 5, 50).take(2000)]
         for name in ("atom_features_50.tsv", "invalid_smiles.tsv"):
@@ -443,9 +447,13 @@ class TestFeaturize:
         graphs = [MolecularGraph([], [], "")]
         for smiles in strings:
             try:
-                graphs.append(featurize(smiles))
+                graph = featurize(smiles)
             except SmilesError:
-                pass
+                continue
+            fresh = featurize.__wrapped__(smiles)
+            assert graph.feature_matrix().tobytes() == fresh.feature_matrix().tobytes(), smiles
+            assert graph.bonds == fresh.bonds, smiles
+            graphs.append(graph)
         assert len(graphs) > 2000
         types = (int, Chirality, int, int, int, int, Hybridization, bool, bool)
         for graph in graphs:
@@ -467,6 +475,21 @@ class TestFeaturize:
         assert MolecularGraph(anion.features, graph.bonds, graph.source_smiles) != graph
         assert MolecularGraph(graph.features, swapped.bonds, graph.source_smiles) != graph
         assert MolecularGraph(graph.features, graph.bonds, "OC(C)=O") != graph
+        # Bonds given as a list are stored as a tuple and compare equal.
+        assert MolecularGraph(graph.features, list(graph.bonds), graph.source_smiles) == graph
+
+    def test_graph_is_immutable(self):
+        graph = featurize("CC(=O)O")
+        with pytest.raises(ValueError):
+            graph.features[0, 0] = 99
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.source_smiles = "CCO"
+        with pytest.raises(TypeError):
+            hash(graph)
+        assert type(graph.bonds) is tuple
+        copy = graph.feature_matrix()
+        copy[0, 0] = 99
+        assert featurize("CC(=O)O").feature_matrix()[0, 0] == 6
 
     def test_feature_matrix_columns_follow_field_order(self):
         # [nH+] in pyridinium: enums by ordinal, flags as 0/1.
@@ -476,6 +499,40 @@ class TestFeaturize:
             "atomic_number", "chirality", "degree", "formal_charge", "num_hs",
             "radical_electrons", "hybridization", "is_aromatic", "in_ring",
         )
+
+
+class TestFeaturizeMemo:
+    def test_repeat_returns_the_same_graph(self):
+        featurize.cache_clear()
+        graph = featurize("CCO")
+        assert featurize("CCO") is graph
+        info = featurize.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("smiles", ["C1CC", "CC(C)(C)(C)C"], ids=["parse", "valence"])
+    def test_malformed_string_raises_every_call(self, smiles):
+        featurize.cache_clear()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SmilesError) as err:
+                featurize(smiles)
+            errors.append((type(err.value), err.value.message, err.value.offset))
+        assert errors[0] == errors[1]
+        assert featurize.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        featurize.cache_clear()
+        bound = featurize.cache_info().maxsize
+        assert bound == 512
+        strings = [f"[{k}CH4]" for k in range(bound + 100)]  # distinct by isotope label
+        for smiles in strings:
+            featurize(smiles)
+        assert featurize.cache_info().currsize == bound
+        hits = featurize.cache_info().hits
+        featurize(strings[-1])
+        assert featurize.cache_info().hits == hits + 1
+        featurize(strings[0])  # the oldest string was evicted
+        assert featurize.cache_info().hits == hits + 1
 
 
 def load_feature_fixture() -> list[tuple[str, list[dict]]]:
