@@ -5,17 +5,18 @@ with a Transformer encoder over tokenized SMILES strings, fuses the two
 branches through multi-head cross-attention, and trains the whole stack
 with Adam on a minimal float64 reverse-mode autodiff engine.
 
-Modules: :mod:`molfuse.tensor` (the autodiff engine and its ops),
+Modules: :mod:`molfuse.model` (the dual-branch model and its batching),
+:mod:`molfuse.tensor` (the autodiff engine and its ops),
 :mod:`molfuse.gradcheck` (finite-difference checks of every op and of whole
 models), :mod:`molfuse.smiles` (SMILES parsing and atom featurization),
 :mod:`molfuse.optim` (Adam), :mod:`molfuse.checkpoint` (bit-exact parameter
 files), :mod:`molfuse.rng` (named seeded streams) and :mod:`molfuse.errors`.
-The model, the metrics and the command line are not written yet.
-One seed gives byte-identical inference outputs at any BLAS thread count,
-since the forward's products are too small for OpenBLAS to split their
-reductions; training is byte-identical, from one process to the next, only
-at a fixed thread count, since the weight-gradient products reduce over
-every row of a batch.
+The training loop, the metrics and the command line are not written yet.
+One seed gives byte-identical inference outputs and training checkpoints at
+any BLAS thread count: OpenBLAS splits no reduction of the forward's
+products, which are small, nor of the fixed row blocks that the weight
+gradients are summed over (the "BLAS thread count" note of
+:mod:`molfuse.tensor`).
 Importing :mod:`molfuse.tensor`, which the optimizer, checkpoint and
 gradcheck modules import, makes glibc keep freed array memory in the
 process heap for the rest of the process (its "Memory" note says why).

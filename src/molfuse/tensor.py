@@ -78,6 +78,15 @@ Conventions:
   renames, moves or changes either.  ``segment_softmax``'s per-segment
   maxima are one 1-D ``np.maximum.at`` per trailing column, into a
   (columns, segments) buffer; a maximum is exact in any visiting order.
+* BLAS thread count: OpenBLAS splits a long enough reduction between its
+  threads, which changes the summation order and so the last bits of the
+  result.  ``matmul``'s weight gradient ``a.T @ g`` reduces over every row
+  of ``a``: at 1 and 2 threads a 1,093-row product differed.  Its backward
+  therefore adds ``_GRAD_BLOCK``-row block products in row order, each too
+  short to be split; a product of 512 rows or fewer is a single block, and
+  so the plain ``a.T @ g``.  The model's other products reduce over at most
+  64 columns.  Training, like inference, is then byte-identical at any
+  thread count; tier-1 compares runs at 1 and 2 threads in fresh processes.
 * Gradient ownership: only leaves (tensors with no backward rule) get a
   ``grad``.  It is a private array that the caller may edit in place, and
   it accumulates out of place (``grad + g``) across ``backward`` calls.
@@ -488,6 +497,19 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 # ---- linear algebra -----------------------------------------------------------
 
+# Rows per block of matmul's weight gradient.  OpenBLAS shares a reduction this
+# short with no second thread, so a sum of block products in row order has one
+# summation order at any thread count (module docstring).
+_GRAD_BLOCK = 512
+
+
+def _weight_grad(a: Array, g: Array) -> Array:
+    """``a.T @ g`` as a sum of ``_GRAD_BLOCK``-row block products, in row order."""
+    out = a[:_GRAD_BLOCK].T @ g[:_GRAD_BLOCK]
+    for i in range(_GRAD_BLOCK, len(a), _GRAD_BLOCK):
+        out += a[i : i + _GRAD_BLOCK].T @ g[i : i + _GRAD_BLOCK]
+    return out
+
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
@@ -497,7 +519,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values @ b.values
 
     def rule(g):
-        return (g @ b.values.T if a.requires_grad else None, a.values.T @ g if b.requires_grad else None)
+        return (g @ b.values.T if a.requires_grad else None, _weight_grad(a.values, g) if b.requires_grad else None)
 
     return _make(out, "matmul", (a, b), rule, a.shape[1] * _bound(a, out) * _bound(b, out))
 

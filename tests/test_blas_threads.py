@@ -1,5 +1,5 @@
-"""Inference outputs do not depend on the BLAS thread count, and training
-repeats byte for byte across processes at a fixed one.
+"""Inference and training outputs do not depend on the BLAS thread count,
+and training repeats byte for byte across processes.
 
 Each run scores the benchmark's screening check batch, or trains its short
 determinism run, in a fresh interpreter, since OpenBLAS reads its thread
@@ -21,14 +21,15 @@ SCORE = """
 import sys
 sys.path[:0] = {paths!r}
 
+from gen import Generator
 from molfuse import tensor as T
+from molfuse.model import collate, forward, init_params
 from molfuse.rng import stream
 from molfuse.smiles import featurize
-from stack import collate, forward, init_params
-from workloads import source
 
 params = init_params(stream(7, "weights"))
-graphs = [featurize(m.smiles) for m in source("screen_b256", 7, "check").take(256) if not m.malformed]
+mols = Generator(stream(7, "check:screen_b256"), 5, 50, 0.02).take(256)
+graphs = [featurize(m.smiles) for m in mols if not m.malformed]
 with T.no_grad():
     sys.stdout.buffer.write(forward(params, collate(graphs)).values.tobytes())
 """
@@ -59,9 +60,10 @@ def test_inference_is_byte_identical_at_one_and_two_blas_threads():
     assert output_digest(score, 1) == output_digest(score, 2)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [(1, 1), (2, 2), (1, 2)], ids=["1", "2", "1-2"])
 def test_training_checkpoint_repeats_across_processes(threads, tmp_path):
     first, second = (
-        output_digest(TRAIN.format(paths=PATHS, ckpt=str(tmp_path / f"run{i}.ckpt")), threads) for i in (1, 2)
+        output_digest(TRAIN.format(paths=PATHS, ckpt=str(tmp_path / f"run{i}.ckpt")), count)
+        for i, count in enumerate(threads)
     )
     assert first == second

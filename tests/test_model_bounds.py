@@ -1,4 +1,4 @@
-"""The benchmark model's op results are proven finite from their inputs' bounds.
+"""The model's op results are proven finite from their inputs' bounds.
 
 An op result whose bound exceeds ``molfuse.tensor._LIMIT`` is checked by
 reading it again, which costs about a tenth of a screening forward when it
@@ -7,22 +7,19 @@ benchmark's screening check batch and over two training steps, so an op
 that loses its bound fails here instead of only slowing the benchmark.
 """
 
-import sys
+import runpy
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
-if PERFBENCH not in sys.path:
-    sys.path.insert(0, PERFBENCH)
+from molfuse import tensor as T
+from molfuse.model import collate, forward, init_params
+from molfuse.optim import AdamState, adam_step
+from molfuse.rng import stream
+from molfuse.smiles import featurize
 
-from molfuse import tensor as T  # noqa: E402
-from molfuse.rng import stream  # noqa: E402
-from molfuse.smiles import featurize  # noqa: E402
-from spans import OFF  # noqa: E402
-from stack import collate, forward, init_params  # noqa: E402
-from workloads import BATCH, Trainer, source  # noqa: E402
+Generator = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"))["Generator"]
 
 
 @pytest.fixture
@@ -49,18 +46,26 @@ def fallbacks(monkeypatch):
 
 
 def test_screening_forward_needs_no_output_check(fallbacks):
+    # The benchmark's screening check batch: 5-50 atoms, 2% malformed.
     params = init_params(stream(7, "weights"))
-    graphs = [featurize(m.smiles) for m in source("screen_b256", 7, "check").take(256) if not m.malformed]
+    mols = Generator(stream(7, "check:screen_b256"), 5, 50, 0.02).take(256)
+    graphs = [featurize(m.smiles) for m in mols if not m.malformed]
     with T.no_grad():
         forward(params, collate(graphs))
     assert fallbacks == []
 
 
-def test_training_steps_need_no_output_check(fallbacks, tmp_path):
-    batch = BATCH["train_b32"]
-    corpus = source("train_b32", 7, "bounds").take(2 * batch)
-    trainer = Trainer(init_params(stream(7, "init")), corpus, 7, tmp_path / "unused.ckpt")
-    for begin in (0, batch):
-        loss = trainer.step(np.arange(begin, begin + batch), OFF)
-        assert np.isfinite(loss)
+def test_training_steps_need_no_output_check(fallbacks):
+    # Two train_b32 steps of 32 molecules of 8-24 atoms at the benchmark's
+    # learning rate; the second step runs on the values Adam reassigned.
+    params = init_params(stream(7, "init"))
+    state = AdamState(learning_rate=3e-3)
+    mols = Generator(stream(7, "bounds:train_b32"), 8, 24).take(64)
+    for step in (mols[:32], mols[32:]):
+        logits = forward(params, collate([featurize(m.smiles) for m in step]))
+        loss = T.cross_entropy(logits, np.array([m.label for m in step]))
+        T.backward(loss)
+        adam_step(params, state)
+        T.zero_grads(params.values())
+        assert np.isfinite(loss.item())
     assert fallbacks == []
