@@ -4,8 +4,9 @@ Every model equation in the package is composed from the operations defined
 here.  No op changes a tensor in place, but ``values`` may be reassigned
 from outside (``adam_step`` and ``load_into`` do; see Conventions).  Each
 operation eagerly computes its value and, when gradients are enabled and an
-input requires them, records a backward rule.  ``backward`` replays the
-recorded operations in reverse topological order (see :class:`Tape`).
+input requires them, records a node holding its backward rule (see Saved
+arrays).  ``backward`` replays the recorded nodes in reverse topological
+order (see :class:`Tape`).
 
 Conventions:
 
@@ -90,11 +91,32 @@ Conventions:
 * Gradient ownership: only leaves (tensors with no backward rule) get a
   ``grad``.  It is a private array that the caller may edit in place, and
   it accumulates out of place (``grad + g``) across ``backward`` calls.
-  Interior gradients live in ``backward``'s sweep only, each freed once its
-  tensor's rule has used it, so an interior ``grad`` stays ``None``.
-  A rule returns ``None`` in the slot of an input that does not require
-  gradients (``add``, ``mul`` and ``matmul`` do, so a product with a
-  constant computes one side only); ``backward`` skips that slot.
+  Interior gradients live in ``backward``'s sweep only, keyed by node, each
+  freed once its node's rule has used it, so an interior ``grad`` stays
+  ``None``.  A node's entry for an input that takes no gradient is
+  ``None``, and ``backward`` skips that slot; ``add``, ``mul`` and
+  ``matmul`` also return ``None`` there, so a product with a constant
+  computes one side only.
+* Saved arrays: a recorded op's node holds the op name, its rule and one
+  entry per input (the input's node, the input itself when it is a leaf
+  that requires gradients, or ``None``), and no tensor besides those
+  leaves.  Its rule holds only the arrays, shapes and flags it reads: for
+  example ``add`` and ``sum_all`` keep shapes, ``mul`` keeps ``b``'s values
+  only when ``a`` needs a gradient (and the reverse), ``matmul`` likewise,
+  ``layer_norm`` its gain and its normalization intermediates, ``gelu`` its
+  input and its normal CDF, ``softmax`` and ``segment_softmax`` their output
+  array, and the index ops their checked ids.  An op builds these only
+  when it is recorded (``_recording``), so the ``no_grad`` path does no
+  extra work.  So an op result that no rule reads (a ``mul`` result read
+  only by ``segment_sum``, or by a ``matmul`` with a constant) is freed as
+  soon as the caller drops it, while the loss is still held; what the rules
+  keep lives as long as the loss does, and ``backward`` may run again over
+  the same graph while the root is held.  Rules read the arrays the forward used:
+  reassigning a leaf's ``values`` between forward and backward, as
+  ``adam_step`` and ``load_into`` do, leaves that graph's gradients as they
+  were.  An in-place edit of a leaf's array does reach the rules that keep
+  it, so make one only between a ``backward`` and the next forward, as
+  ``gradcheck`` does.
 * ``no_grad`` is a depth per thread and per async context, so one instance
   may be nested and shared by threads in any order.
 * Subgradients at kinks (leaky_relu, elu) take the right-hand value, so
@@ -256,18 +278,21 @@ class Tensor:
     """A dense float64 array plus an optional gradient record.
 
     ``requires_grad`` marks leaves whose gradient should be accumulated;
-    tensors produced by operations on such leaves carry the flag implicitly.
-    :func:`backward` populates ``grad`` on leaves only; it accumulates
-    additively until cleared and is its own writable array.  An interior
-    tensor's ``grad`` stays ``None``.  An op result's ``values`` are
-    read-only, since its finiteness proof rests on them (module docstring);
-    change them by reassigning ``values``.  ``a + b`` and ``a * b`` are
-    :func:`add` and :func:`mul`; both operands must be tensors (wrap a
-    number or array with :func:`constant`), and no other operator is
-    defined.
+    tensors produced by recorded operations on such leaves carry the flag
+    implicitly and point at their op's private node (see Saved arrays in the
+    module docstring), whose rule ``backward_rule`` reads.  The node holds
+    no reference to the result itself, so a result that no rule reads is
+    freed when its last reference goes.  :func:`backward` populates
+    ``grad`` on leaves only; it accumulates additively until cleared and is
+    its own writable array.  An interior tensor's ``grad`` stays ``None``.
+    An op result's ``values`` are read-only, since its finiteness proof
+    rests on them (module docstring); change them by reassigning ``values``.
+    ``a + b`` and ``a * b`` are :func:`add` and :func:`mul`; both operands
+    must be tensors (wrap a number or array with :func:`constant`), and no
+    other operator is defined.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "op", "inputs", "backward_rule", "_bounded", "_max")
+    __slots__ = ("values", "requires_grad", "grad", "op", "_node", "_bounded", "_max")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -278,8 +303,12 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self.op: str | None = None
-        self.inputs: tuple[Tensor, ...] = ()
-        self.backward_rule: BackwardRule | None = None
+        self._node: _Node | None = None
+
+    @property
+    def backward_rule(self) -> BackwardRule | None:
+        """The recorded op's rule: upstream gradient -> one gradient (or ``None``) per input."""
+        return None if self._node is None else self._node.backward_rule
 
     # ---- basic introspection ------------------------------------------------
 
@@ -342,9 +371,39 @@ def _bound(t: Tensor, out: Array) -> float:
     return math.inf if v.size > out.size else _norm(v)
 
 
-def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRule, bound: float) -> Tensor:
-    """Wrap an op result, recording the backward rule only when needed.
+class _Node:
+    """One recorded op: its name, its backward rule and one entry per input.
 
+    An entry is the input's own node, the input itself when it is a leaf
+    that requires gradients, or ``None`` when the input takes no gradient.
+    The rule holds whatever arrays it reads (module docstring, Saved
+    arrays); the node holds no tensor but those leaves.
+    """
+
+    __slots__ = ("op", "backward_rule", "inputs")
+
+    def __init__(self, op: str, backward_rule: BackwardRule, inputs: tuple):
+        self.op, self.backward_rule, self.inputs = op, backward_rule, inputs
+
+
+def _recording(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` is recorded: gradients are on and one input requires them.
+
+    Each op asks this before it builds its backward rule, so that the
+    ``no_grad`` path builds nothing.
+    """
+    if _no_grad_depth.get():
+        return False
+    for x in inputs:
+        if x.requires_grad:
+            return True
+    return False
+
+
+def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRule | None, bound: float) -> Tensor:
+    """Wrap an op result, recording a node when the op passes a backward rule.
+
+    The op passes one only when :func:`_recording` holds for ``inputs``.
     The lean twin of ``Tensor(...)``: a float64 ndarray is kept as it is and
     made read-only.  ``bound`` is the op's bound on ``max|entry|`` from its
     inputs' bounds; one above ``_LIMIT``, or NaN, proves nothing, and then
@@ -362,12 +421,11 @@ def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRu
     values.setflags(False)  # positional: the keyword form costs more than twice as much
     t = Tensor.__new__(Tensor)
     t.values, t.grad, t.op, t._bounded, t._max = values, None, op, values, bound
-    t.requires_grad, t.inputs, t.backward_rule = False, (), None
-    if not _no_grad_depth.get():
-        for inp in inputs:
-            if inp.requires_grad:
-                t.requires_grad, t.inputs, t.backward_rule = True, inputs, backward_rule
-                break
+    if backward_rule is None:
+        t.requires_grad, t._node = False, None
+    else:
+        entries = tuple(x._node or (x if x.requires_grad else None) for x in inputs)
+        t.requires_grad, t._node = True, _Node(op, backward_rule, entries)
     return t
 
 
@@ -375,26 +433,28 @@ def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRu
 
 
 class Tape(list):
-    """The recorded ancestry of a tensor: its op outputs in topological order.
+    """The recorded ancestry of a tensor: its op nodes in topological order.
 
-    Every tensor's recorded inputs appear before it, so a single reverse
-    sweep propagates gradients correctly and visits each recorded operation
-    exactly once.
+    Every node's input nodes appear before it and the root's own node is
+    last, so a single reverse sweep propagates gradients correctly and
+    visits each recorded operation exactly once.  A node has ``op``,
+    ``backward_rule`` and ``inputs`` (see :class:`_Node`); the tensors the
+    ops returned are not listed, and may already be freed.
     """
 
     @classmethod
     def trace(cls, root: Tensor) -> "Tape":
-        order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        order: list[_Node] = []
+        visited: set[_Node] = set()
+        stack: list[tuple] = [(root._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in visited or node.backward_rule is None:
+            if type(node) is not _Node or node in visited:  # a leaf entry or None
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for inp in node.inputs:
                 stack.append((inp, False))
@@ -407,26 +467,26 @@ def backward(loss: Tensor) -> None:
     Gradients accumulate additively across multiple uses of a value inside
     one graph, and a leaf's ``grad`` also across repeated backward calls
     (clear with ``zero_grad`` between steps).  Interior gradients are local
-    to the sweep.
+    to the sweep.  The graph is left as it was, so ``backward`` may run
+    again while ``loss`` is held.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss.backward_rule is None:
+    if loss._node is None:
         _accumulate(loss, np.ones_like(loss.values))
         return
-    # Interior gradients by tensor id.  Every taped tensor requires
-    # gradients, and a rule returns an array for each input that does, so
-    # each one has an entry before the sweep reaches it.
-    pending = {id(loss): np.ones_like(loss.values)}
-    for t in reversed(Tape.trace(loss)):
-        for tensor, grad in zip(t.inputs, t.backward_rule(pending.pop(id(t)))):
-            if grad is None or not tensor.requires_grad:
+    # Interior gradients by node.  A rule returns an array in each slot
+    # whose entry is not None, so each node has one before the sweep
+    # reaches it.
+    pending = {loss._node: np.ones_like(loss.values)}
+    for node in reversed(Tape.trace(loss)):
+        for entry, grad in zip(node.inputs, node.backward_rule(pending.pop(node))):
+            if entry is None:
                 continue
-            if tensor.backward_rule is None:
-                _accumulate(tensor, grad)
+            if type(entry) is _Node:
+                pending[entry] = pending[entry] + grad if entry in pending else grad
             else:
-                key = id(tensor)
-                pending[key] = pending[key] + grad if key in pending else grad
+                _accumulate(entry, grad)
 
 
 def _accumulate(leaf: Tensor, grad: Array) -> None:
@@ -465,11 +525,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise _broadcast_error("add", a, b) from None
 
-    def rule(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
+    rule = None
+    if _recording(a, b):
+        a_shape = a.shape if a.requires_grad else None
+        b_shape = b.shape if b.requires_grad else None
+
+        def rule(g):
+            return (
+                None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(g, b_shape),
+            )
 
     return _make(out, "add", (a, b), rule, _bound(a, out) + _bound(b, out))
 
@@ -480,11 +545,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise _broadcast_error("mul", a, b) from None
 
-    def rule(g):
-        return (
-            _unbroadcast(g * b.values, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.values, b.shape) if b.requires_grad else None,
-        )
+    rule = None
+    if _recording(a, b):
+        a_shape, b_shape = a.shape, b.shape
+        b_values = b.values if a.requires_grad else None
+        a_values = a.values if b.requires_grad else None
+
+        def rule(g):
+            return (
+                None if b_values is None else _unbroadcast(g * b_values, a_shape),
+                None if a_values is None else _unbroadcast(g * a_values, b_shape),
+            )
 
     return _make(out, "mul", (a, b), rule, _bound(a, out) * _bound(b, out))
 
@@ -492,7 +563,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, factor: float) -> Tensor:
     f = float(factor)
     out = a.values * f
-    return _make(out, "scale", (a,), lambda g: (g * f,), abs(f) * _bound(a, out))
+    rule = (lambda g: (g * f,)) if _recording(a) else None
+    return _make(out, "scale", (a,), rule, abs(f) * _bound(a, out))
 
 
 # ---- linear algebra -----------------------------------------------------------
@@ -518,8 +590,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     out = a.values @ b.values
 
-    def rule(g):
-        return (g @ b.values.T if a.requires_grad else None, _weight_grad(a.values, g) if b.requires_grad else None)
+    rule = None
+    if _recording(a, b):
+        b_values = b.values if a.requires_grad else None
+        a_values = a.values if b.requires_grad else None
+
+        def rule(g):
+            return (
+                None if b_values is None else g @ b_values.T,
+                None if a_values is None else _weight_grad(a_values, g),
+            )
 
     return _make(out, "matmul", (a, b), rule, a.shape[1] * _bound(a, out) * _bound(b, out))
 
@@ -554,9 +634,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     idx = _ids(indices, "gather_rows indices", n)
     out = a.values.take(idx, axis=0)
 
-    def rule(g):
-        return (_segment_sum(idx, n, g),)
-
+    rule = (lambda g: (_segment_sum(idx, n, g),)) if _recording(a) else None
     return _make(out, "gather_rows", (a,), rule, _bound(a, out))
 
 
@@ -565,7 +643,14 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = a.values.sum()
-    return _make(out, "sum_all", (a,), lambda g: (np.broadcast_to(g, a.shape),), a.size * _bound(a, out))
+    rule = None
+    if _recording(a):
+        shape = a.shape
+
+        def rule(g):
+            return (np.broadcast_to(g, shape),)
+
+    return _make(out, "sum_all", (a,), rule, a.size * _bound(a, out))
 
 
 # ---- nonlinearities -----------------------------------------------------------
@@ -575,7 +660,8 @@ def leaky_relu(a: Tensor) -> Tensor:
     """Leaky ReLU with negative slope 0.2, as in GAT attention scores."""
     slope = np.where(a.values >= 0, 1.0, 0.2)
     out = a.values * slope
-    return _make(out, "leaky_relu", (a,), lambda g: (g * slope,), _bound(a, out))
+    rule = (lambda g: (g * slope,)) if _recording(a) else None
+    return _make(out, "leaky_relu", (a,), rule, _bound(a, out))
 
 
 def elu(a: Tensor) -> Tensor:
@@ -584,9 +670,7 @@ def elu(a: Tensor) -> Tensor:
     expm1 = np.expm1(np.minimum(a.values, 0.0))
     out = np.where(pos, a.values, expm1)
 
-    def rule(g):
-        return (g * np.where(pos, 1.0, expm1 + 1.0),)
-
+    rule = (lambda g: (g * np.where(pos, 1.0, expm1 + 1.0),)) if _recording(a) else None
     return _make(out, "elu", (a,), rule, _bound(a, out) + 1.0)
 
 
@@ -599,12 +683,16 @@ def gelu(a: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(a.values * _INV_SQRT2))
     out = a.values * cdf
 
-    def rule(g):
-        # exp(-x²/2) underflows to exactly 0 from |x| = 40 on, so clipping there changes no
-        # gradient and keeps x² from overflowing.
-        c = np.minimum(np.abs(a.values), 40.0)
-        pdf = _INV_SQRT_2PI * np.exp((-0.5 * c) * c)
-        return (g * (cdf + a.values * pdf),)
+    rule = None
+    if _recording(a):
+        x = a.values
+
+        def rule(g):
+            # exp(-x²/2) underflows to exactly 0 from |x| = 40 on, so clipping there changes no
+            # gradient and keeps x² from overflowing.
+            c = np.minimum(np.abs(x), 40.0)
+            pdf = _INV_SQRT_2PI * np.exp((-0.5 * c) * c)
+            return (g * (cdf + x * pdf),)
 
     return _make(out, "gelu", (a,), rule, _bound(a, out))
 
@@ -623,9 +711,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = np.exp(shifted)
     out = z / z.sum(axis=ax, keepdims=True)
 
-    def rule(g):
-        dot = (g * out).sum(axis=ax, keepdims=True)
-        return (out * (g - dot),)
+    rule = None
+    if _recording(a):
+
+        def rule(g):
+            dot = (g * out).sum(axis=ax, keepdims=True)
+            return (out * (g - dot),)
 
     return _make(out, "softmax", (a,), rule, _probability_bound(a, out))
 
@@ -649,16 +740,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = centered * inv_std
     out = xhat * gain.values + bias.values
 
-    def rule(g):
-        g_xhat = g * gain.values
-        # Standard layer-norm backward, fused for one tape entry.
-        g_var = (g_xhat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv_std**3
-        g_mu = -(g_xhat * inv_std).sum(axis=-1, keepdims=True) + g_var * (-2.0 / d) * centered.sum(
-            axis=-1, keepdims=True
-        )
-        g_a = g_xhat * inv_std + g_var * (2.0 / d) * centered + g_mu / d
-        reduce_axes = tuple(range(a.ndim - 1))
-        return g_a, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+    rule = None
+    if _recording(a, gain, bias):
+        gain_values, reduce_axes = gain.values, tuple(range(a.ndim - 1))
+
+        def rule(g):
+            g_xhat = g * gain_values
+            # Standard layer-norm backward, fused for one tape entry.
+            g_var = (g_xhat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv_std**3
+            g_mu = -(g_xhat * inv_std).sum(axis=-1, keepdims=True) + g_var * (-2.0 / d) * centered.sum(
+                axis=-1, keepdims=True
+            )
+            g_a = g_xhat * inv_std + g_var * (2.0 / d) * centered + g_mu / d
+            return g_a, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
     b = _bound(a, out)
     if 4.0 * d * b * b <= _LIMIT:
@@ -718,9 +812,7 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     seg, num_segments = _checked_segments(segment_ids, a.shape, num_segments)
     out = _segment_sum(seg, num_segments, a.values)
 
-    def rule(g):
-        return (np.asarray(g).take(seg, axis=0),)
-
+    rule = (lambda g: (np.asarray(g).take(seg, axis=0),)) if _recording(a) else None
     return _make(out, "segment_sum", (a,), rule, a.shape[0] * _bound(a, out))
 
 
@@ -743,9 +835,12 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     np.exp(out, out=out)
     out /= _segment_sum(seg, num_segments, out).take(seg, axis=0)
 
-    def rule(g):
-        dot = _segment_sum(seg, num_segments, g * out)
-        return (out * (g - dot.take(seg, axis=0)),)
+    rule = None
+    if _recording(a):
+
+        def rule(g):
+            dot = _segment_sum(seg, num_segments, g * out)
+            return (out * (g - dot.take(seg, axis=0)),)
 
     return _make(out, "segment_softmax", (a,), rule, _probability_bound(a, out))
 
@@ -771,10 +866,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     lse = np.log(totals) + row_max
     out = (lse[:, 0] - logits.values[np.arange(n), y]).mean()
 
-    def rule(g):
-        probs = z / totals
-        probs[np.arange(n), y] -= 1.0
-        return (np.asarray(g) * probs / n,)
+    rule = None
+    if _recording(logits):
+
+        def rule(g):
+            probs = z / totals
+            probs[np.arange(n), y] -= 1.0
+            return (np.asarray(g) * probs / n,)
 
     b = _bound(logits, out)
     bound = 2.0 * b + math.log(c) + 1.0 if 2.0 * b <= _LIMIT else math.inf

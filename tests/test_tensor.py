@@ -561,10 +561,12 @@ class TestFiniteCheckAndGradientContracts:
 
     def test_backward_leaves_no_grad_on_taped_tensors(self):
         a = T.parameter([1.0, 2.0])
-        loss = T.sum_all(T.mul(T.scale(a, 3.0), a))
+        scaled = T.scale(a, 3.0)
+        product = T.mul(scaled, a)
+        loss = T.sum_all(product)
         T.backward(loss)
-        tape = T.Tape.trace(loss)
-        assert len(tape) == 3 and all(t.grad is None for t in tape)
+        assert len(T.Tape.trace(loss)) == 3
+        assert all(t.grad is None for t in (scaled, product, loss))
         assert a.grad.flags.writeable
 
     @pytest.mark.parametrize("op", [T.add, T.mul, T.matmul])
