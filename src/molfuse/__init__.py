@@ -12,6 +12,8 @@ models), :mod:`molfuse.smiles` (SMILES parsing and atom featurization),
 :mod:`molfuse.optim` (Adam), :mod:`molfuse.checkpoint` (bit-exact parameter
 files), :mod:`molfuse.rng` (named seeded streams) and :mod:`molfuse.errors`.
 The training loop, the metrics and the command line are not written yet.
+A tensor holds a read-only, finiteness-checked copy of its values; reassign
+``values`` to change them (the Conventions of :mod:`molfuse.tensor`).
 One seed gives byte-identical inference outputs and training checkpoints at
 any BLAS thread count: OpenBLAS splits no reduction of the forward's
 products, which are small, nor of the fixed row blocks that the weight

@@ -30,19 +30,22 @@ Sampler = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
 def numeric_partial(make_loss: Callable[[], Tensor], param: Tensor, flat_index: int) -> float:
     """Central finite difference (step ``STEP``) of the loss w.r.t. one coordinate.
 
-    ``flat_index`` counts in C order.  The coordinate is written through the
-    array itself, so non-contiguous parameters (e.g. built from ``x.T``) are
-    perturbed too.
+    ``flat_index`` counts in C order.  The parameter's ``values`` are
+    reassigned to a perturbed copy on each side, then, even if ``make_loss``
+    raises, to the original.
     """
     values = param.values
     index = np.unravel_index(flat_index, values.shape)
-    saved = values[index]
-    values[index] = saved + STEP
-    plus = make_loss().item()
-    values[index] = saved - STEP
-    minus = make_loss().item()
-    values[index] = saved
-    return (plus - minus) / (2.0 * STEP)
+    losses = []
+    try:
+        for moved in (values[index] + STEP, values[index] - STEP):
+            perturbed = values.copy()
+            perturbed[index] = moved
+            param.values = perturbed
+            losses.append(make_loss().item())
+    finally:
+        param.values = values
+    return (losses[0] - losses[1]) / (2.0 * STEP)
 
 
 def max_relative_error(

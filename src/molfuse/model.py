@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import DataError
 from .smiles import MolecularGraph
 from .tensor import Tensor
 
@@ -94,6 +95,8 @@ def encode_atoms(graph: MolecularGraph) -> np.ndarray:
 
 def collate(graphs: list[MolecularGraph]) -> Batch:
     """Batch featurized molecules into one graph plus character tokens."""
+    if not graphs:
+        raise DataError("collate needs at least one molecule, got an empty batch")
     atom_sizes = np.array([g.num_atoms for g in graphs])
     tok_sizes = np.array([min(len(g.source_smiles), MAX_TOKENS) for g in graphs])
     atom_start = np.concatenate([[0], np.cumsum(atom_sizes)[:-1]])

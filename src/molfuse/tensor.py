@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every model equation in the package is composed from the operations defined
-here.  No op changes a tensor in place, but ``values`` may be reassigned
-from outside (``adam_step`` and ``load_into`` do; see Conventions).  Each
+here.  A tensor's ``values`` never change in place: to change them, reassign
+``values`` (``adam_step`` and ``load_into`` do; see Conventions).  Each
 operation eagerly computes its value and, when gradients are enabled and an
 input requires them, records a node holding its backward rule (see Saved
 arrays).  ``backward`` replays the recorded nodes in reverse topological
@@ -10,28 +10,24 @@ order (see :class:`Tape`).
 
 Conventions:
 
-* float64 everywhere; all stored values must be finite (a non-finite result
-  raises :class:`~molfuse.errors.NumericError` at construction).  The exact
-  check (``_all_finite``) first takes the sum of squares with one ``vdot``:
-  NaN and +-inf propagate into it, so a finite sum proves every entry
-  finite.  A sum that overflows (entries beyond about 1e154) falls back to
-  the elementwise ``isfinite`` test.  ``Tensor(...)`` runs it on every
-  constructed array.  An op result is instead proven finite from its
-  inputs, at O(1) cost, without reading its output:
+* float64 everywhere, and one rule for every tensor's values: they never
+  change in place; to change them, reassign ``values``.  A tensor's
+  ``values`` is a finite, read-only array that no one else holds (an
+  in-place write raises ``ValueError``), set together with ``Tensor._max``,
+  a bound on its ``max|entry|``.
 
-  - Each op result caches a bound on ``max|entry|`` together with the array
-    it belongs to, and its ``values`` are read-only.  ``values`` may still be
-    reassigned from outside (``adam_step`` and ``load_into`` do, without a
-    check), and then the cache no longer matches.
-  - ``_bound`` reads an input's bound: the cached one while ``values`` is
-    the cached array, else its ``_norm``, the root of the sum of squares,
-    which is NaN or inf when it proves nothing.  So leaves, which callers
-    and ``gradcheck`` edit in place, and reassigned results are bounded
-    afresh at each use.  Such an
-    input that is larger than the op's output is not read at all: the
-    output is checked instead, which is cheaper (a gather may also pick
-    only the finite rows of a partly non-finite source).
-  - From its inputs' bounds B, each op bounds its result by: ``add``
+  - Assigning ``values`` is the one path for ``Tensor(...)``,
+    ``constant``, ``parameter``, ``adam_step``, ``load_into`` and callers.
+    It stores a fresh float64 copy after the exact check
+    (``_checked_norm``): the root of the sum of squares, one ``vdot``
+    (``_norm``), is the bound.  NaN and +-inf propagate into it, so a
+    finite sum proves every entry finite; one that overflows (entries
+    beyond about 1e154) falls back to the elementwise ``isfinite`` test
+    and leaves an inf bound, so the next op checks its output.  A
+    non-finite array raises :class:`~molfuse.errors.NumericError`, and the
+    tensor keeps its old values.
+  - An op result is proven finite from its inputs' bounds B, at O(1) cost
+    and without reading it.  Each op bounds its result by: ``add``
     B(a)+B(b); ``mul`` B(a)·B(b); ``scale`` |f|·B(a); ``matmul`` K·B(a)·B(b)
     for inner size K; ``gather_rows``, ``leaky_relu`` and ``gelu`` B(a);
     ``elu`` B(a)+1; ``sum_all`` size·B(a); ``segment_sum`` rows·B(a);
@@ -44,12 +40,12 @@ Conventions:
     otherwise it reads its per-row variance, since one that overflows
     collapses the row to the bias, a finite but wrong output.
   - ``_make`` skips the output when the bound is at most ``_LIMIT`` (1e300).
-    Otherwise it runs the exact check and caches the ``_norm`` (inf once
-    the sum of squares overflows).  Rounding in the bound arithmetic is a
-    few ulps per op (K·eps for ``matmul``), far inside the factor of 1.8e8
-    between the limit and the largest double.  So exactly the same arrays
-    pass and fail as with an exact check of every result, and the error
-    names the same op.
+    Otherwise it runs the exact check and keeps the ``_norm`` as the bound.
+    Either way it stores the result as it is, without a copy.  Rounding in
+    the bound arithmetic is a few ulps per op (K·eps for ``matmul``), far
+    inside the factor of 1.8e8 between the limit and the largest double.
+    So exactly the same arrays pass and fail as with an exact check of
+    every result, and the error names the same op.
   - No bound is below ``_FLOOR`` (1.5e-154): ``_norm`` and ``_make`` raise
     a smaller one to it.  Its square exceeds the smallest normal double, so
     a sum of squares that underflows (entries below about 1e-162 give 0)
@@ -111,12 +107,9 @@ Conventions:
   only by ``segment_sum``, or by a ``matmul`` with a constant) is freed as
   soon as the caller drops it, while the loss is still held; what the rules
   keep lives as long as the loss does, and ``backward`` may run again over
-  the same graph while the root is held.  Rules read the arrays the forward used:
-  reassigning a leaf's ``values`` between forward and backward, as
-  ``adam_step`` and ``load_into`` do, leaves that graph's gradients as they
-  were.  An in-place edit of a leaf's array does reach the rules that keep
-  it, so make one only between a ``backward`` and the next forward, as
-  ``gradcheck`` does.
+  the same graph while the root is held.  Since no array changes in place,
+  a rule that keeps an input's array reads the values the forward used,
+  whatever is later assigned to that input's ``values``.
 * ``no_grad`` is a depth per thread and per async context, so one instance
   may be nested and shared by threads in any order.
 * Subgradients at kinks (leaky_relu, elu) take the right-hand value, so
@@ -266,12 +259,16 @@ def _norm(arr: Array) -> float:
 
 
 def _all_finite(arr: Array) -> bool:
-    """Whether every entry of a float64 array is finite (True when empty).
-
-    A finite ``_norm`` proves it, since NaN and +-inf propagate into a sum
-    of squares; an overflowing sum falls back to the exact test.
-    """
+    """Whether every entry of a float64 array is finite (True when empty), by ``_checked_norm``'s test."""
     return math.isfinite(_norm(arr)) or bool(np.isfinite(arr).all())
+
+
+def _checked_norm(arr: Array, what: str) -> float:
+    """``_norm(arr)`` after the exact finiteness check, whose ``NumericError`` says ``what``."""
+    bound = _norm(arr)
+    if not math.isfinite(bound) and not np.isfinite(arr).all():
+        raise NumericError(f"non-finite values {what}")
+    return bound
 
 
 class Tensor:
@@ -285,25 +282,32 @@ class Tensor:
     freed when its last reference goes.  :func:`backward` populates
     ``grad`` on leaves only; it accumulates additively until cleared and is
     its own writable array.  An interior tensor's ``grad`` stays ``None``.
-    An op result's ``values`` are read-only, since its finiteness proof
-    rests on them (module docstring); change them by reassigning ``values``.
-    ``a + b`` and ``a * b`` are :func:`add` and :func:`mul`; both operands
-    must be tensors (wrap a number or array with :func:`constant`), and no
-    other operator is defined.
+    ``values`` is read-only; assigning it stores a checked copy (module
+    docstring, Conventions).  ``a + b`` and ``a * b`` are :func:`add` and
+    :func:`mul`; both operands must be tensors (wrap a number or array with
+    :func:`constant`), and no other operator is defined.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "op", "_node", "_bounded", "_max")
+    __slots__ = ("_values", "requires_grad", "grad", "op", "_node", "_max")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.asarray(values, dtype=np.float64)
-        if not _all_finite(arr):
-            raise NumericError("non-finite values produced by tensor construction")
-        self.values = arr
-        self._bounded = None  # a leaf's values may be edited in place, so no bound is cached
+        self.values = values
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self.op: str | None = None
         self._node: _Node | None = None
+
+    @property
+    def values(self) -> Array:
+        """The read-only array; assigning stores a checked float64 copy and its bound."""
+        return self._values
+
+    @values.setter
+    def values(self, values) -> None:
+        arr = np.array(values, dtype=np.float64)
+        bound = _checked_norm(arr, "assigned to a tensor")
+        arr.setflags(False)
+        self._values, self._max = arr, bound
 
     @property
     def backward_rule(self) -> BackwardRule | None:
@@ -314,15 +318,15 @@ class Tensor:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.values.shape
+        return self._values.shape
 
     @property
     def ndim(self) -> int:
-        return self.values.ndim
+        return self._values.ndim
 
     @property
     def size(self) -> int:
-        return self.values.size
+        return self._values.size
 
     def item(self) -> float:
         if self.size != 1:
@@ -359,18 +363,6 @@ _FLOAT64 = np.dtype(np.float64)
 _LIMIT = 1e300  # an op's bound at most this proves its result finite (module docstring)
 
 
-def _bound(t: Tensor, out: Array) -> float:
-    """A bound on ``max|entry|`` of ``t``, or NaN or inf where none is known.
-
-    ``t`` is not read when its bound is not cached and it is larger than
-    ``out``, the result of the op reading it: that result is checked instead.
-    """
-    v = t.values
-    if t._bounded is v:
-        return t._max
-    return math.inf if v.size > out.size else _norm(v)
-
-
 class _Node:
     """One recorded op: its name, its backward rule and one entry per input.
 
@@ -404,23 +396,20 @@ def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRu
     """Wrap an op result, recording a node when the op passes a backward rule.
 
     The op passes one only when :func:`_recording` holds for ``inputs``.
-    The lean twin of ``Tensor(...)``: a float64 ndarray is kept as it is and
-    made read-only.  ``bound`` is the op's bound on ``max|entry|`` from its
-    inputs' bounds; one above ``_LIMIT``, or NaN, proves nothing, and then
-    the result is checked and bounded by its ``_norm``.  A bound below
-    ``_FLOOR`` is raised to it.
+    The lean twin of assigning ``values``: the fresh result is made
+    read-only, not copied.  ``bound``, the op's bound from its inputs'
+    ``_max``, proves nothing above ``_LIMIT``; the result is then checked
+    and bounded by its ``_norm``.  A bound below ``_FLOOR`` is raised to it.
     """
     if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
         values = np.asarray(values, dtype=np.float64)
     if not bound <= _LIMIT:
-        bound = _norm(values)
-        if not math.isfinite(bound) and not np.isfinite(values).all():
-            raise NumericError(f"non-finite values produced by {op}")
+        bound = _checked_norm(values, f"produced by {op}")
     elif bound < _FLOOR:
         bound = _FLOOR
     values.setflags(False)  # positional: the keyword form costs more than twice as much
     t = Tensor.__new__(Tensor)
-    t.values, t.grad, t.op, t._bounded, t._max = values, None, op, values, bound
+    t._values, t.grad, t.op, t._max = values, None, op, bound
     if backward_rule is None:
         t.requires_grad, t._node = False, None
     else:
@@ -536,7 +525,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 None if b_shape is None else _unbroadcast(g, b_shape),
             )
 
-    return _make(out, "add", (a, b), rule, _bound(a, out) + _bound(b, out))
+    return _make(out, "add", (a, b), rule, a._max + b._max)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -557,14 +546,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                 None if a_values is None else _unbroadcast(g * a_values, b_shape),
             )
 
-    return _make(out, "mul", (a, b), rule, _bound(a, out) * _bound(b, out))
+    return _make(out, "mul", (a, b), rule, a._max * b._max)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     f = float(factor)
     out = a.values * f
     rule = (lambda g: (g * f,)) if _recording(a) else None
-    return _make(out, "scale", (a,), rule, abs(f) * _bound(a, out))
+    return _make(out, "scale", (a,), rule, abs(f) * a._max)
 
 
 # ---- linear algebra -----------------------------------------------------------
@@ -601,7 +590,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 None if a_values is None else _weight_grad(a_values, g),
             )
 
-    return _make(out, "matmul", (a, b), rule, a.shape[1] * _bound(a, out) * _bound(b, out))
+    return _make(out, "matmul", (a, b), rule, a.shape[1] * a._max * b._max)
 
 
 def _ids(values, name: str, count: int, rows: int | None = None) -> Array:
@@ -635,7 +624,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = a.values.take(idx, axis=0)
 
     rule = (lambda g: (_segment_sum(idx, n, g),)) if _recording(a) else None
-    return _make(out, "gather_rows", (a,), rule, _bound(a, out))
+    return _make(out, "gather_rows", (a,), rule, a._max)
 
 
 # ---- reductions ---------------------------------------------------------------
@@ -650,7 +639,7 @@ def sum_all(a: Tensor) -> Tensor:
         def rule(g):
             return (np.broadcast_to(g, shape),)
 
-    return _make(out, "sum_all", (a,), rule, a.size * _bound(a, out))
+    return _make(out, "sum_all", (a,), rule, a.size * a._max)
 
 
 # ---- nonlinearities -----------------------------------------------------------
@@ -661,7 +650,7 @@ def leaky_relu(a: Tensor) -> Tensor:
     slope = np.where(a.values >= 0, 1.0, 0.2)
     out = a.values * slope
     rule = (lambda g: (g * slope,)) if _recording(a) else None
-    return _make(out, "leaky_relu", (a,), rule, _bound(a, out))
+    return _make(out, "leaky_relu", (a,), rule, a._max)
 
 
 def elu(a: Tensor) -> Tensor:
@@ -671,7 +660,7 @@ def elu(a: Tensor) -> Tensor:
     out = np.where(pos, a.values, expm1)
 
     rule = (lambda g: (g * np.where(pos, 1.0, expm1 + 1.0),)) if _recording(a) else None
-    return _make(out, "elu", (a,), rule, _bound(a, out) + 1.0)
+    return _make(out, "elu", (a,), rule, a._max + 1.0)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -694,12 +683,12 @@ def gelu(a: Tensor) -> Tensor:
             pdf = _INV_SQRT_2PI * np.exp((-0.5 * c) * c)
             return (g * (cdf + x * pdf),)
 
-    return _make(out, "gelu", (a,), rule, _bound(a, out))
+    return _make(out, "gelu", (a,), rule, a._max)
 
 
-def _probability_bound(a: Tensor, out: Array) -> float:
+def _probability_bound(a: Tensor) -> float:
     """1 for a softmax of ``a`` whose shifted inputs (at most 2·B(a)) are finite, else inf."""
-    return 1.0 if 2.0 * _bound(a, out) <= _LIMIT else math.inf
+    return 1.0 if 2.0 * a._max <= _LIMIT else math.inf
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -718,7 +707,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             dot = (g * out).sum(axis=ax, keepdims=True)
             return (out * (g - dot),)
 
-    return _make(out, "softmax", (a,), rule, _probability_bound(a, out))
+    return _make(out, "softmax", (a,), rule, _probability_bound(a))
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -754,9 +743,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             g_a = g_xhat * inv_std + g_var * (2.0 / d) * centered + g_mu / d
             return g_a, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
-    b = _bound(a, out)
+    b = a._max
     if 4.0 * d * b * b <= _LIMIT:
-        bound = math.sqrt(d) * _bound(gain, out) + _bound(bias, out)
+        bound = math.sqrt(d) * gain._max + bias._max
     elif not np.isfinite(var).all():  # overflowing squares give inv_std 0, a finite but wrong output
         raise NumericError("non-finite values produced by layer_norm")
     else:
@@ -813,7 +802,7 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     out = _segment_sum(seg, num_segments, a.values)
 
     rule = (lambda g: (np.asarray(g).take(seg, axis=0),)) if _recording(a) else None
-    return _make(out, "segment_sum", (a,), rule, a.shape[0] * _bound(a, out))
+    return _make(out, "segment_sum", (a,), rule, a.shape[0] * a._max)
 
 
 def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -842,7 +831,7 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
             dot = _segment_sum(seg, num_segments, g * out)
             return (out * (g - dot.take(seg, axis=0)),)
 
-    return _make(out, "segment_softmax", (a,), rule, _probability_bound(a, out))
+    return _make(out, "segment_softmax", (a,), rule, _probability_bound(a))
 
 
 # ---- losses -------------------------------------------------------------------
@@ -874,7 +863,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             probs[np.arange(n), y] -= 1.0
             return (np.asarray(g) * probs / n,)
 
-    b = _bound(logits, out)
+    b = logits._max
     bound = 2.0 * b + math.log(c) + 1.0 if 2.0 * b <= _LIMIT else math.inf
     return _make(out, "cross_entropy", (logits,), rule, bound)
 

@@ -9,7 +9,7 @@ import pytest
 
 from molfuse import tensor as T
 from molfuse.errors import ShapeError
-from molfuse.gradcheck import OP_CASES, check_case
+from molfuse.gradcheck import OP_CASES, check_case, max_relative_error
 from molfuse.rng import stream
 from molfuse.tensor import Tape
 
@@ -205,6 +205,22 @@ class TestCompositeGradients:
 
         err = max_relative_error({"w1": w1, "w2": w2}, make_loss, n_points=10, rng=stream(18, "pts"))
         assert err < 1e-4
+
+    def test_parameters_are_restored_byte_for_byte(self):
+        # numeric_partial reassigns perturbed copies; each parameter ends as it began.
+        rng = stream(21, "restored")
+        params = {"w": T.parameter(rng.normal(size=(3, 4))), "b": T.parameter(rng.normal(size=4))}
+        x = T.constant(rng.normal(size=(2, 3)))
+        before = {name: p.values.tobytes() for name, p in params.items()}
+
+        def make_loss():
+            h = T.matmul(x, params["w"]) + params["b"]
+            return T.sum_all(T.mul(h, h))
+
+        max_relative_error(params, make_loss, n_points=10, rng=stream(22, "pts"))
+        for name, p in params.items():
+            assert p.values.tobytes() == before[name], name
+            assert not p.values.flags.writeable, name
 
     def test_non_contiguous_parameter(self):
         from molfuse.gradcheck import max_relative_error

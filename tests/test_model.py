@@ -22,6 +22,7 @@ import stack  # noqa: E402
 from gen import Generator  # noqa: E402
 from molfuse import model  # noqa: E402
 from molfuse import tensor as T  # noqa: E402
+from molfuse.errors import DataError  # noqa: E402
 from molfuse.gradcheck import max_relative_error  # noqa: E402
 from molfuse.rng import stream  # noqa: E402
 from molfuse.smiles import featurize  # noqa: E402
@@ -81,6 +82,11 @@ def test_batched_logits_equal_per_molecule_logits(name):
     assert np.abs(batched - single).max() <= 1e-12
     probs = model.probabilities(T.constant(batched))
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_empty_batch_raises_data_error():
+    with pytest.raises(DataError, match=r"^collate needs at least one molecule, got an empty batch$"):
+        model.collate([])
 
 
 # ---- 1-WL indistinguishable pairs ------------------------------------------------

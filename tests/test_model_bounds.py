@@ -26,20 +26,16 @@ Generator = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench"
 def fallbacks(monkeypatch):
     """Each ``_make`` call that falls back to the exact check, as (op, input shapes).
 
-    A leaf larger than the op's output is left unread by design, and its
-    output checked instead (the atom-feature embedding, whose one-hot
-    constant is 45 columns wide and its output 32, is one); that is not a
-    lost bound, so it is not recorded.
+    Every input, leaf or op result, carries the bound set with its values,
+    so no call may fall back.
     """
     made = T._make
     lost = []
 
     def spy(values, op, inputs, backward_rule, bound):
-        t = made(values, op, inputs, backward_rule, bound)
-        skipped_leaf = any(x._bounded is not x.values and x.size > t.size for x in inputs)
-        if not bound <= T._LIMIT and not skipped_leaf:
+        if not bound <= T._LIMIT:
             lost.append((op, [x.shape for x in inputs]))
-        return t
+        return made(values, op, inputs, backward_rule, bound)
 
     monkeypatch.setattr(T, "_make", spy)
     return lost

@@ -1,8 +1,10 @@
-"""Package metadata points only at code that exists, every public name has a
-user, and the pytest settings report every failure."""
+"""Package metadata points only at code that exists and declares installable
+floors, every public name has a user, and the pytest settings report every
+failure."""
 
 import ast
 import importlib
+import importlib.metadata
 import inspect
 import os
 import re
@@ -12,6 +14,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from packaging.requirements import Requirement
+from packaging.version import Version
 
 import molfuse
 
@@ -28,6 +32,27 @@ def test_console_scripts_resolve_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{script} = {target!r} is not callable"
+
+
+def _floor(requirement):
+    """The least version that a requirement's ``>=`` clauses allow."""
+    return max(Version(spec.version) for spec in requirement.specifier if spec.operator == ">=")
+
+
+def test_numpy_floor_meets_the_installed_scipys():
+    # A numpy at the declared floor must be one the installed scipy accepts.
+    tomllib = pytest.importorskip("tomllib")
+    declared = {
+        r.name: r
+        for r in map(Requirement, tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"])
+    }
+    scipy_numpy = [
+        r
+        for r in map(Requirement, importlib.metadata.requires("scipy") or [])
+        if r.name == "numpy" and (r.marker is None or r.marker.evaluate({"extra": ""}))
+    ]
+    assert scipy_numpy, "the installed scipy declares no numpy requirement"
+    assert _floor(declared["numpy"]) >= _floor(scipy_numpy[0])
 
 
 def test_package_docstring_lists_every_module():

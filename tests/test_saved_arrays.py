@@ -4,6 +4,8 @@ A recorded op keeps only the arrays its backward rule reads, taken when the
 op runs.  So an op result that no rule reads is freed as soon as the caller
 drops it, even while the loss is held, and reassigning a leaf's ``values``
 between forward and backward leaves that graph's gradients as they were.
+No array the graph keeps can be edited in place: a leaf holds a read-only
+copy of the caller's array.
 """
 
 import runpy
@@ -47,6 +49,24 @@ def test_gradients_use_the_values_the_forward_used(name):
         return [leaf.grad.tobytes() for leaf in leaves]
 
     assert grads(reassign=True) == grads(reassign=False)
+
+
+def test_editing_the_callers_array_after_the_forward_changes_nothing():
+    mask = np.array([1.0, 2.0, 3.0])
+    x = T.parameter(np.zeros(3))
+    loss = T.sum_all(T.mul(x, T.constant(mask)))
+    mask[:] = 0.0
+    T.backward(loss)
+    np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
+
+
+def test_in_place_leaf_write_raises_and_leaves_the_gradient():
+    p = T.parameter([1.0, 1.0])
+    loss = T.sum_all(T.mul(p, p))
+    with pytest.raises(ValueError):
+        p.values[0] = 5.0
+    T.backward(loss)
+    np.testing.assert_array_equal(p.grad, [2.0, 2.0])
 
 
 def test_outputs_no_rule_reads_are_freed_while_the_loss_is_held():

@@ -194,6 +194,27 @@ class TestConstruction:
         t = T.constant(np.ones((2, 3)))
         assert t.size == 6 and t.shape == (2, 3)
 
+    @pytest.mark.parametrize("make", [T.constant, T.parameter], ids=["constant", "parameter"])
+    def test_leaf_values_are_a_read_only_copy(self, make):
+        source = np.array([1.0, -2.0, 3.0])
+        leaf = make(source)
+        source[:] = 0.0
+        np.testing.assert_array_equal(leaf.values, [1.0, -2.0, 3.0])
+        assert leaf._max >= 3.0
+        with pytest.raises(ValueError):
+            leaf.values[0] = 5.0
+        leaf.values = source
+        assert leaf.values is not source and not leaf.values.flags.writeable
+        assert leaf._max == T._FLOOR
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_assignment_keeps_the_old_values(self, bad):
+        leaf = T.parameter([1.0, 2.0])
+        before = leaf.values
+        with pytest.raises(NumericError, match=r"^non-finite values assigned to a tensor$"):
+            leaf.values = [1.0, bad]
+        assert leaf.values is before and leaf._max >= 2.0
+
     @pytest.mark.parametrize("magnitude", [1e155, 1e200, 1.7e308])
     def test_huge_finite_accepted(self, magnitude):
         # The sum of squares overflows here; the exact fallback must still accept.
@@ -201,6 +222,7 @@ class TestConstruction:
         x[::2] *= -1.0
         np.testing.assert_array_equal(T.constant(x).values, x)
         np.testing.assert_array_equal(T.constant(x.T).values, x.T)
+        assert T.constant(x)._max == math.inf  # so the next op checks its output
 
 
 class TestOperators:
@@ -580,29 +602,8 @@ class TestFiniteCheckAndGradientContracts:
             assert grads[1 - const_slot].shape == p.shape
 
 
-class TestGatherRowsFiniteness:
-    """A non-finite source entry fails gather_rows only when a gathered row
-    holds it, on both sides of the size rule: a source no larger than the
-    output is checked first, a larger one never.  A tensor cannot be built
-    non-finite, so each source's ``.values`` are reassigned after
-    construction, as an optimizer step may do."""
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize(
-        "rows, picked", [(3, [0, 1, 0, 1, 1, 0, 0, 1]), (10_000, [0, 1])], ids=["source-smaller", "2-of-10000"]
-    )
-    def test_only_gathered_rows_count(self, rows, picked, bad):
-        a = T.constant(np.ones((rows, 2)))
-        values = a.values.copy()
-        values[rows - 1, 1] = bad
-        a.values = values
-        np.testing.assert_array_equal(T.gather_rows(a, picked).values, np.ones((len(picked), 2)))
-        with pytest.raises(NumericError, match=r"^non-finite values produced by gather_rows$"):
-            T.gather_rows(a, picked[:-1] + [rows - 1])
-
-
 def bounded(values) -> T.Tensor:
-    """An op result holding ``values``, so that its bound is cached."""
+    """An op result holding ``values``."""
     return T.scale(T.constant(values), 1.0)
 
 
@@ -697,24 +698,27 @@ NEXT_OPS = {
 
 
 class TestReassignedResults:
-    """An op result's cached bound holds only for the array it was made with."""
+    """Reassigning an op result's values sets its bound again."""
 
     def test_op_result_values_are_read_only(self):
         r = bounded(np.ones((2, 2)))
         with pytest.raises(ValueError):
             r.values[0, 0] = 2.0
-        assert T.constant(np.ones(2)).values.flags.writeable
+        r.values = np.full((2, 2), 3.0)
+        with pytest.raises(ValueError):
+            r.values[0, 0] = 2.0
 
     @pytest.mark.parametrize("op", NEXT_OPS)
-    def test_reassigned_nan_fails_the_next_op(self, op):
-        r = bounded(np.ones((2, 2)))
-        r.values = np.array([[1.0, np.nan], [1.0, 1.0]])
-        with pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
-            NEXT_OPS[op](r, bounded(np.ones((2, 2))))
+    def test_reassigned_nan_raises_before_the_next_op(self, op):
+        r, k = bounded(np.ones((2, 2))), bounded(np.ones((2, 2)))
+        before = NEXT_OPS[op](r, k).values.tobytes()
+        with pytest.raises(NumericError, match=r"^non-finite values assigned to a tensor$"):
+            r.values = np.array([[1.0, np.nan], [1.0, 1.0]])
+        assert NEXT_OPS[op](r, k).values.tobytes() == before
 
     @pytest.mark.parametrize("op", ["mul", "matmul"])
     def test_reassigned_huge_values_fail_the_next_product(self, op):
-        # r's stale bound (2) times k's would prove the overflowing product finite.
+        # Had r kept its old bound (2), that times k's would prove the overflowing product finite.
         r = bounded(np.ones((2, 2)))
         r.values = np.full((2, 2), 1e200)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
