@@ -7,11 +7,12 @@ disjoint-union batch graph; one character-token self-attention layer
 each molecule's atoms then cross-attends to the molecule's tokens
 (graph-to-token), and a linear head gives class logits.  ``matmul`` is 2-D
 only, so both attentions are segment attentions over within-molecule pairs
-that :func:`collate` enumerates.  Token self-attention is limited to a
-window of ``WINDOW`` characters and the cross-attention query is one vector
-per molecule: full token-pair attention over a batch of 256 screening
-molecules needs about a million pairs, whose (pairs, DIM) float64 arrays
-reach a gigabyte of memory.
+that :func:`collate` enumerates, in one pass over the batch's stacked arrays
+with no numpy call per molecule.  Token self-attention is limited to a window
+of ``WINDOW`` characters and the cross-attention query is one vector per
+molecule: full token-pair attention over a batch of 256 screening molecules
+needs about a million pairs, whose (pairs, DIM) float64 arrays reach a
+gigabyte of memory.
 
 Parameter names and shapes are those of the benchmark's reference copy in
 ``perfbench/stack.py``, so checkpoints load into either.  That copy stays
@@ -53,8 +54,8 @@ _ELEMENT_INDEX = np.full(128, len(_ELEMENT_SLOTS), dtype=np.intp)
 _ELEMENT_INDEX[list(_ELEMENT_SLOTS)] = np.arange(len(_ELEMENT_SLOTS))
 
 # Head indicator: column h sums the DIM // HEADS coordinates of head h.
-_HEAD_SUM = np.kron(np.eye(HEADS), np.ones((DIM // HEADS, 1)))
-_HEAD_SPREAD = _HEAD_SUM.T.copy()
+_HEAD_SUM = T.constant(np.kron(np.eye(HEADS), np.ones((DIM // HEADS, 1))))
+_HEAD_SPREAD = T.constant(_HEAD_SUM.values.T.copy())
 
 
 @dataclass
@@ -64,7 +65,7 @@ class Batch:
     num_mols: int
     atom_x: np.ndarray  # (atoms, ATOM_FEATURES) one-hot
     atom_mol: np.ndarray  # (atoms,)
-    edge_src: np.ndarray  # directed bonds plus self loops
+    edge_src: np.ndarray  # every bond forward, then every bond reversed, then a self loop per atom
     edge_dst: np.ndarray
     tok_ids: np.ndarray  # (tokens,)
     tok_pos: np.ndarray
@@ -81,9 +82,9 @@ def _pairs(key_start: np.ndarray, key_count: np.ndarray) -> tuple[np.ndarray, np
     return q, np.repeat(key_start - first, key_count) + np.arange(len(q))
 
 
-def encode_atoms(graph: MolecularGraph) -> np.ndarray:
-    """One-hot atom features, (atoms, ATOM_FEATURES)."""
-    raw = graph.features.astype(np.intp)
+def encode_atoms(features: np.ndarray) -> np.ndarray:
+    """One-hot atom features, (atoms, ATOM_FEATURES), from an (atoms, 9) feature matrix."""
+    raw = features.astype(np.intp)
     idx = np.empty_like(raw)
     idx[:, 0] = _ELEMENT_INDEX[np.minimum(raw[:, 0], 127)]
     idx[:, 1:] = np.clip(raw[:, 1:], 0, np.array(_FEATURE_SIZES[1:]) - 1)
@@ -97,16 +98,15 @@ def collate(graphs: list[MolecularGraph]) -> Batch:
     """Batch featurized molecules into one graph plus character tokens."""
     if not graphs:
         raise DataError("collate needs at least one molecule, got an empty batch")
-    atom_sizes = np.array([g.num_atoms for g in graphs])
+    sizes = [g.num_atoms for g in graphs]
+    if 0 in sizes:
+        raise DataError(f"collate needs atoms in every molecule, molecule {sizes.index(0)} has none")
+    atom_sizes = np.array(sizes)
     tok_sizes = np.array([min(len(g.source_smiles), MAX_TOKENS) for g in graphs])
-    atom_start = np.concatenate([[0], np.cumsum(atom_sizes)[:-1]])
-    src, dst = [], []
-    for g, off in zip(graphs, atom_start):
-        if g.bonds:
-            pairs = np.array([(i, j) for i, j, _ in g.bonds]) + off
-            src += [pairs[:, 0], pairs[:, 1]]
-            dst += [pairs[:, 1], pairs[:, 0]]
-    loops = np.arange(int(atom_sizes.sum()))
+    atom_start = (np.cumsum(atom_sizes) - atom_sizes).tolist()
+    bonds = [(i + off, j + off) for g, off in zip(graphs, atom_start) for i, j, _ in g.bonds]
+    src, dst = np.array(bonds, dtype=np.intp).reshape(-1, 2).T
+    loops = np.arange(sum(sizes))
     chars = "".join(g.source_smiles[:MAX_TOKENS] for g in graphs)
     codes = np.frombuffer(chars.encode("ascii", "replace"), dtype=np.uint8)
     tok_start = np.cumsum(tok_sizes) - tok_sizes
@@ -117,10 +117,10 @@ def collate(graphs: list[MolecularGraph]) -> Batch:
     tt_q, tt_k = _pairs(tok_start[tok_mol] + lo, hi - lo + 1)
     return Batch(
         num_mols=len(graphs),
-        atom_x=np.concatenate([encode_atoms(g) for g in graphs]),
+        atom_x=encode_atoms(np.concatenate([g.features for g in graphs])),
         atom_mol=np.repeat(np.arange(len(graphs)), atom_sizes),
-        edge_src=np.concatenate(src + [loops]),
-        edge_dst=np.concatenate(dst + [loops]),
+        edge_src=np.concatenate([src, dst, loops]),
+        edge_dst=np.concatenate([dst, src, loops]),
         tok_ids=_CHAR_INDEX[np.minimum(codes, 127)],
         tok_pos=tok_pos,
         tok_mol=tok_mol,
@@ -170,21 +170,20 @@ def init_params(rng: np.random.Generator) -> dict[str, Tensor]:
 def _segment_attention(q: Tensor, k: Tensor, v: Tensor, q_idx, k_idx, num_q: int) -> Tensor:
     """Multi-head dot-product attention restricted to listed (query, key) pairs."""
     scores = T.gather_rows(q, q_idx) * T.gather_rows(k, k_idx)
-    scores = T.scale(T.matmul(scores, T.constant(_HEAD_SUM)), 1.0 / np.sqrt(DIM // HEADS))
+    scores = T.scale(T.matmul(scores, _HEAD_SUM), 1.0 / np.sqrt(DIM // HEADS))
     alpha = T.segment_softmax(scores, q_idx, num_q)
-    weighted = T.gather_rows(v, k_idx) * T.matmul(alpha, T.constant(_HEAD_SPREAD))
+    weighted = T.gather_rows(v, k_idx) * T.matmul(alpha, _HEAD_SPREAD)
     return T.segment_sum(weighted, q_idx, num_q)
 
 
 def _gat_layer(h: Tensor, p: dict[str, Tensor], layer: str, batch: Batch) -> Tensor:
     n = h.shape[0]
     z = T.matmul(h, p[f"{layer}.w"])
-    head_sum = T.constant(_HEAD_SUM)
-    s_src = T.matmul(z * p[f"{layer}.src"], head_sum)
-    s_dst = T.matmul(z * p[f"{layer}.dst"], head_sum)
+    s_src = T.matmul(z * p[f"{layer}.src"], _HEAD_SUM)
+    s_dst = T.matmul(z * p[f"{layer}.dst"], _HEAD_SUM)
     e = T.leaky_relu(T.gather_rows(s_src, batch.edge_src) + T.gather_rows(s_dst, batch.edge_dst))
     alpha = T.segment_softmax(e, batch.edge_dst, n)
-    msg = T.gather_rows(z, batch.edge_src) * T.matmul(alpha, T.constant(_HEAD_SPREAD))
+    msg = T.gather_rows(z, batch.edge_src) * T.matmul(alpha, _HEAD_SPREAD)
     return T.elu(T.segment_sum(msg, batch.edge_dst, n) + p[f"{layer}.b"])
 
 

@@ -31,10 +31,12 @@ Conventions:
     B(a)+B(b); ``mul`` B(a)·B(b); ``scale`` |f|·B(a); ``matmul`` K·B(a)·B(b)
     for inner size K; ``gather_rows``, ``leaky_relu`` and ``gelu`` B(a);
     ``elu`` B(a)+1; ``sum_all`` size·B(a); ``segment_sum`` rows·B(a);
-    ``softmax`` and ``segment_softmax`` 1, if 2·B(a) is at most the limit
-    (the shifted inputs are then finite, each exponential is at most 1 and
-    each denominator at least 1); ``cross_entropy`` 2·B+log C+1 for C
-    classes, on the same condition; ``layer_norm`` √d·B(gain)+B(bias) for
+    ``softmax`` and ``segment_softmax`` 1 (the inputs are finite, so each
+    shifted entry is at most 0, or -inf where the subtraction overflows;
+    each exponential is then in [0, 1], and the row's or segment's own
+    maximum adds exp(0) = 1 to its denominator); ``cross_entropy``
+    2·B+log C+1 for C classes, if 2·B(a) is at most the limit, since
+    ``lse - logit[y]`` can overflow; ``layer_norm`` √d·B(gain)+B(bias) for
     last-axis size d, if 4·d·B(a)² is at most the limit (the centered sum
     of squares is then finite, and each normalized entry is at most √d);
     otherwise it reads its per-row variance, since one that overflows
@@ -686,11 +688,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, "gelu", (a,), rule, a._max)
 
 
-def _probability_bound(a: Tensor) -> float:
-    """1 for a softmax of ``a`` whose shifted inputs (at most 2·B(a)) are finite, else inf."""
-    return 1.0 if 2.0 * a._max <= _LIMIT else math.inf
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along one axis; outputs sum to 1 along that axis."""
     ax = axis if axis >= 0 else a.ndim + axis
@@ -707,7 +704,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             dot = (g * out).sum(axis=ax, keepdims=True)
             return (out * (g - dot),)
 
-    return _make(out, "softmax", (a,), rule, _probability_bound(a))
+    return _make(out, "softmax", (a,), rule, 1.0)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -831,7 +828,7 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
             dot = _segment_sum(seg, num_segments, g * out)
             return (out * (g - dot.take(seg, axis=0)),)
 
-    return _make(out, "segment_softmax", (a,), rule, _probability_bound(a))
+    return _make(out, "segment_softmax", (a,), rule, 1.0)
 
 
 # ---- losses -------------------------------------------------------------------

@@ -25,7 +25,7 @@ from molfuse import tensor as T  # noqa: E402
 from molfuse.errors import DataError  # noqa: E402
 from molfuse.gradcheck import max_relative_error  # noqa: E402
 from molfuse.rng import stream  # noqa: E402
-from molfuse.smiles import featurize  # noqa: E402
+from molfuse.smiles import MolecularGraph, featurize  # noqa: E402
 
 # The molecules of a train_b32 step and the benchmark's screening check batch
 # (its generator streams, size ranges and malformed rates).
@@ -33,10 +33,14 @@ BATCHES = {
     "train_b32": ("smiles:train_b32", 8, 24, 0.0, 32),
     "screen_b256": ("check:screen_b256", 5, 50, 0.02, 256),
 }
+# Bondless and single-atom molecules beside bonded ones, with alternating labels.
+HAND_BATCHES = {"bondless": ("C", "[Na+]", "O", "CCO", "c1ccccc1", "[NH4+]")}
 
 
 @lru_cache(maxsize=None)
 def molecules(name: str):
+    if name in HAND_BATCHES:
+        return [featurize(s) for s in HAND_BATCHES[name]], np.arange(len(HAND_BATCHES[name])) % 2
     stream_name, lo, hi, malformed, count = BATCHES[name]
     mols = [m for m in Generator(stream(7, stream_name), lo, hi, malformed).take(count) if not m.malformed]
     return [featurize(m.smiles) for m in mols], np.array([m.label for m in mols])
@@ -47,7 +51,7 @@ def logits(params, graphs) -> np.ndarray:
         return model.forward(params, model.collate(graphs)).values
 
 
-@pytest.mark.parametrize("name", BATCHES)
+@pytest.mark.parametrize("name", [*BATCHES, *HAND_BATCHES])
 def test_logits_and_gradients_equal_the_benchmark_copy_byte_for_byte(name):
     graphs, labels = molecules(name)
     runs = []
@@ -73,7 +77,7 @@ def test_gradients_agree_with_finite_differences():
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("name", BATCHES)
+@pytest.mark.parametrize("name", [*BATCHES, *HAND_BATCHES])
 def test_batched_logits_equal_per_molecule_logits(name):
     graphs, _ = molecules(name)
     params = model.init_params(stream(7, "weights"))
@@ -87,6 +91,17 @@ def test_batched_logits_equal_per_molecule_logits(name):
 def test_empty_batch_raises_data_error():
     with pytest.raises(DataError, match=r"^collate needs at least one molecule, got an empty batch$"):
         model.collate([])
+
+
+@pytest.mark.parametrize(
+    "atomless",
+    [MolecularGraph(np.zeros((0, 9)), (), ""), MolecularGraph([], [], "")],
+    ids=["empty-matrix", "empty-list"],
+)
+def test_atomless_molecule_raises_data_error_naming_its_position(atomless):
+    graphs = [featurize("CCO"), atomless, featurize("C")]
+    with pytest.raises(DataError, match=r"^collate needs atoms in every molecule, molecule 1 has none$"):
+        model.collate(graphs)
 
 
 # ---- 1-WL indistinguishable pairs ------------------------------------------------

@@ -89,6 +89,23 @@ class TestSoftmax:
         with pytest.raises(ShapeError):
             T.softmax(T.constant(np.ones((2, 0))), axis=1)
 
+    # The input's squares overflow, so its bound is inf.  Its entries are
+    # finite, so every shifted entry is still at most 0 (-1e308 - 1e308
+    # overflows to -inf) and the output is bounded by 1 without a read.
+    @pytest.mark.parametrize(
+        "form",
+        [lambda x: T.softmax(T.constant(x), axis=-1), lambda x: T.segment_softmax(T.constant(x.T), [0, 0, 0], 1)],
+        ids=["softmax", "segment_softmax"],
+    )
+    def test_huge_finite_input_needs_no_output_check(self, form):
+        x = np.array([[1e308, -1e308, 0.0]])
+        assert T.constant(x)._max == math.inf
+        records, error = run_recording(lambda: form(x))
+        assert error is None
+        [(_, bound, out)] = records
+        assert bound <= T._LIMIT
+        assert out.values.ravel().tolist() == [1.0, 0.0, 0.0]
+
 
 class TestLeakyRelu:
     def test_positive_passthrough(self):
