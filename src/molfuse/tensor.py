@@ -35,12 +35,12 @@ Conventions:
     shifted entry is at most 0, or -inf where the subtraction overflows;
     each exponential is then in [0, 1], and the row's or segment's own
     maximum adds exp(0) = 1 to its denominator); ``cross_entropy``
-    2·B+log C+1 for C classes, if 2·B(a) is at most the limit, since
-    ``lse - logit[y]`` can overflow; ``layer_norm`` √d·B(gain)+B(bias) for
-    last-axis size d, if 4·d·B(a)² is at most the limit (the centered sum
-    of squares is then finite, and each normalized entry is at most √d);
-    otherwise it reads its per-row variance, since one that overflows
-    collapses the row to the bias, a finite but wrong output.
+    2·B+log C+1 for C classes; ``layer_norm`` √d·B(gain)+B(bias) for
+    last-axis size d, as a finite row variance bounds each normalized entry
+    by √d (it reads the variance when 4·d·B(a)² exceeds the limit: one that
+    overflows would collapse the row to the bias).  When B(a), or that
+    4·d·B(a)², exceeds the limit, these four run under ``np.errstate``
+    ignoring overflow and invalid results, so finite inputs warn of nothing.
   - ``_make`` skips the output when the bound is at most ``_LIMIT`` (1e300).
     Otherwise it runs the exact check and keeps the ``_norm`` as the bound.
     Either way it stores the result as it is, without a copy.  Rounding in
@@ -101,9 +101,9 @@ Conventions:
   leaves.  Its rule holds only the arrays, shapes and flags it reads: for
   example ``add`` and ``sum_all`` keep shapes, ``mul`` keeps ``b``'s values
   only when ``a`` needs a gradient (and the reverse), ``matmul`` likewise,
-  ``layer_norm`` its gain and its normalization intermediates, ``gelu`` its
-  input and its normal CDF, ``softmax`` and ``segment_softmax`` their output
-  array, and the index ops their checked ids.  An op builds these only
+  ``layer_norm`` its gain, x̂ and ``inv_std``, ``elu`` its ``expm1``, ``gelu``
+  its input and its normal CDF, ``softmax`` and ``segment_softmax`` their
+  output array, and the index ops their checked ids.  An op builds these only
   when it is recorded (``_recording``), so the ``no_grad`` path does no
   extra work.  So an op result that no rule reads (a ``mul`` result read
   only by ``segment_sum``, or by a ``matmul`` with a constant) is freed as
@@ -123,9 +123,9 @@ Conventions:
   is float64); 1-D, with one entry per row for segment ids and labels,
   else :class:`~molfuse.errors.ShapeError`; every id in [0, n) for the
   row, segment or class count n, else ``DataError``.  Each message starts
-  with the argument's name.  A 0-d tensor, having no rows, and a segment
-  count that is not a non-negative integer (``operator.index``, ``bool``
-  excluded) raise ``ShapeError`` before the ids are read.
+  with the argument's name.  A 0-d tensor, having no rows, a segment count
+  below 0 and a ``softmax`` axis out of range, or either not an integer
+  (``operator.index``, ``bool`` excluded), raise ``ShapeError`` first.
 * Imports: scipy is used for two compiled functions only, ``csc_matvecs``
   (segment sums) and ``erf`` (``gelu``).  ``_scipy_extension`` loads each
   one's extension file (``scipy.sparse._sparsetools``,
@@ -160,6 +160,7 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -363,6 +364,7 @@ def parameter(values) -> Tensor:
 
 _FLOAT64 = np.dtype(np.float64)
 _LIMIT = 1e300  # an op's bound at most this proves its result finite (module docstring)
+_NO_ERRSTATE = contextlib.nullcontext()  # _errstate's no-op; it keeps no state, so one is shared
 
 
 class _Node:
@@ -418,6 +420,19 @@ def _make(values, op: str, inputs: tuple[Tensor, ...], backward_rule: BackwardRu
         entries = tuple(x._node or (x if x.requires_grad else None) for x in inputs)
         t.requires_grad, t._node = True, _Node(op, backward_rule, entries)
     return t
+
+
+def _errstate(risky: bool):
+    """``np.errstate`` ignoring overflow and invalid results if ``risky``, else a no-op (Conventions)."""
+    return np.errstate(over="ignore", invalid="ignore") if risky else _NO_ERRSTATE
+
+
+def _integer(value) -> int | None:
+    """``operator.index(value)``, or ``None`` for a ``bool`` or a non-integer (Conventions)."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
 
 
 # ---- tape and backward pass -------------------------------------------------
@@ -657,11 +672,10 @@ def leaky_relu(a: Tensor) -> Tensor:
 
 def elu(a: Tensor) -> Tensor:
     """Exponential linear unit with alpha 1."""
-    pos = a.values >= 0
     expm1 = np.expm1(np.minimum(a.values, 0.0))
-    out = np.where(pos, a.values, expm1)
-
-    rule = (lambda g: (g * np.where(pos, 1.0, expm1 + 1.0),)) if _recording(a) else None
+    out = np.where(a.values >= 0, a.values, expm1)
+    # expm1 is +-0 where a >= 0, so expm1 + 1 is the derivative on both sides.
+    rule = (lambda g: (g * (expm1 + 1.0),)) if _recording(a) else None
     return _make(out, "elu", (a,), rule, a._max + 1.0)
 
 
@@ -690,20 +704,14 @@ def gelu(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along one axis; outputs sum to 1 along that axis."""
-    ax = axis if axis >= 0 else a.ndim + axis
-    if ax < 0 or ax >= a.ndim or a.shape[ax] == 0:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.values - a.values.max(axis=ax, keepdims=True)
-    z = np.exp(shifted)
+    ax = _integer(axis)
+    if ax is None or not -a.ndim <= ax < a.ndim or a.shape[ax] == 0:
+        raise ShapeError(f"softmax axis {axis!r} invalid for shape {a.shape}")
+    with _errstate(a._max > _LIMIT):
+        z = np.exp(a.values - a.values.max(axis=ax, keepdims=True))
     out = z / z.sum(axis=ax, keepdims=True)
 
-    rule = None
-    if _recording(a):
-
-        def rule(g):
-            dot = (g * out).sum(axis=ax, keepdims=True)
-            return (out * (g - dot),)
-
+    rule = (lambda g: (out * (g - (g * out).sum(axis=ax, keepdims=True)),)) if _recording(a) else None
     return _make(out, "softmax", (a,), rule, 1.0)
 
 
@@ -718,10 +726,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"layer_norm needs a nonempty last axis, got shape {a.shape}")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    # sum / d is what ndarray.mean computes, bit for bit, without its wrappers.
-    mu = a.values.sum(axis=-1, keepdims=True) / d
-    centered = a.values - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    risky = 4.0 * d * a._max * a._max > _LIMIT  # the centered squares may overflow
+    with _errstate(risky):
+        # sum / d is what ndarray.mean computes, bit for bit, without its wrappers.
+        mu = a.values.sum(axis=-1, keepdims=True) / d
+        centered = a.values - mu
+        var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    if risky and not math.isfinite(var.max()):  # an overflowing variance collapses its row to the bias
+        raise NumericError("non-finite values produced by layer_norm")
     inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     out = xhat * gain.values + bias.values
@@ -731,23 +743,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gain_values, reduce_axes = gain.values, tuple(range(a.ndim - 1))
 
         def rule(g):
+            # Ba et al. (2016), from x̂ and 1/σ: (g_x̂ - mean(g_x̂) - x̂·mean(g_x̂·x̂)) / σ.
             g_xhat = g * gain_values
-            # Standard layer-norm backward, fused for one tape entry.
-            g_var = (g_xhat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv_std**3
-            g_mu = -(g_xhat * inv_std).sum(axis=-1, keepdims=True) + g_var * (-2.0 / d) * centered.sum(
-                axis=-1, keepdims=True
-            )
-            g_a = g_xhat * inv_std + g_var * (2.0 / d) * centered + g_mu / d
+            g_a = g_xhat - g_xhat.sum(axis=-1, keepdims=True) / d
+            g_a -= xhat * ((g_xhat * xhat).sum(axis=-1, keepdims=True) / d)
+            g_a *= inv_std
             return g_a, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
-    b = a._max
-    if 4.0 * d * b * b <= _LIMIT:
-        bound = math.sqrt(d) * gain._max + bias._max
-    elif not np.isfinite(var).all():  # overflowing squares give inv_std 0, a finite but wrong output
-        raise NumericError("non-finite values produced by layer_norm")
-    else:
-        bound = math.inf
-    return _make(out, "layer_norm", (a, gain, bias), rule, bound)
+    return _make(out, "layer_norm", (a, gain, bias), rule, math.sqrt(d) * gain._max + bias._max)
 
 
 # ---- segment operations (graph aggregation) -----------------------------------
@@ -759,11 +762,8 @@ def _checked_segments(segment_ids, shape: tuple[int, ...], num_segments) -> tupl
     The count sizes the array the summing kernel writes into, so anything
     but a non-negative integer raises ``ShapeError`` before the ids are read.
     """
-    try:
-        count = operator.index(num_segments)
-    except TypeError:
-        count = -1
-    if count < 0 or isinstance(num_segments, bool):
+    count = _integer(num_segments)
+    if count is None or count < 0:
         raise ShapeError(
             f"num_segments must be a non-negative integer, got {num_segments} ({type(num_segments).__name__})"
         )
@@ -817,7 +817,8 @@ def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     col_max = np.full((columns.shape[0], num_segments), -np.inf)
     for col, col_seg_max in zip(columns, col_max):
         np.maximum.at(col_seg_max, seg, col)
-    out = a.values - col_max.T.take(seg, axis=0).reshape(a.shape)
+    with _errstate(a._max > _LIMIT):
+        out = a.values - col_max.T.take(seg, axis=0).reshape(a.shape)
     np.exp(out, out=out)
     out /= _segment_sum(seg, num_segments, out).take(seg, axis=0)
 
@@ -846,11 +847,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     y = _ids(labels, "cross_entropy labels", c, n)
     if n == 0:
         raise ShapeError("cross_entropy needs at least one row")
-    row_max = logits.values.max(axis=1, keepdims=True)
-    z = np.exp(logits.values - row_max)
-    totals = z.sum(axis=1, keepdims=True)
-    lse = np.log(totals) + row_max
-    out = (lse[:, 0] - logits.values[np.arange(n), y]).mean()
+    with _errstate(logits._max > _LIMIT):
+        row_max = logits.values.max(axis=1, keepdims=True)
+        z = np.exp(logits.values - row_max)
+        totals = z.sum(axis=1, keepdims=True)
+        lse = np.log(totals) + row_max
+        out = (lse[:, 0] - logits.values[np.arange(n), y]).mean()
 
     rule = None
     if _recording(logits):
@@ -860,7 +862,5 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             probs[np.arange(n), y] -= 1.0
             return (np.asarray(g) * probs / n,)
 
-    b = logits._max
-    bound = 2.0 * b + math.log(c) + 1.0 if 2.0 * b <= _LIMIT else math.inf
-    return _make(out, "cross_entropy", (logits,), rule, bound)
+    return _make(out, "cross_entropy", (logits,), rule, 2.0 * logits._max + math.log(c) + 1.0)
 

@@ -28,6 +28,7 @@ FORWARD_TIME_CASES = {
     "mul": (T.mul, ((3, 4), (3, 4))),
     "matmul": (T.matmul, ((3, 4), (4, 2))),
     "layer_norm": (T.layer_norm, ((3, 4), (4,), (4,))),
+    "elu": (T.elu, ((3, 4),)),
     "gelu": (T.gelu, ((3, 4),)),
 }
 
@@ -49,6 +50,22 @@ def test_gradients_use_the_values_the_forward_used(name):
         return [leaf.grad.tobytes() for leaf in leaves]
 
     assert grads(reassign=True) == grads(reassign=False)
+
+
+# op, input shapes, and the shapes of the arrays its rule keeps.
+KEPT_ARRAYS = {
+    "layer_norm": (T.layer_norm, ((5, 4), (4,), (4,)), [(4,), (5, 1), (5, 4)]),  # gain, inv_std, x̂
+    "elu": (T.elu, ((5, 4),), [(5, 4)]),  # expm1
+}
+
+
+@pytest.mark.parametrize("name", KEPT_ARRAYS)
+def test_fused_rules_keep_only_what_they_read(name):
+    op, shapes, kept = KEPT_ARRAYS[name]
+    rng = stream(33, f"kept:{name}")
+    rule = op(*[T.parameter(rng.normal(size=shape)) for shape in shapes]).backward_rule
+    arrays = [cell.cell_contents for cell in rule.__closure__ if isinstance(cell.cell_contents, np.ndarray)]
+    assert sorted(arr.shape for arr in arrays) == kept
 
 
 def test_editing_the_callers_array_after_the_forward_changes_nothing():

@@ -63,6 +63,13 @@ class TestMatmul:
             T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 3))))
 
 
+# A (1, 3) row as softmax's input and, transposed, as one segment of segment_softmax.
+HUGE_ROW_SOFTMAXES = {
+    "softmax": lambda x: T.softmax(T.constant(x), axis=-1),
+    "segment_softmax": lambda x: T.segment_softmax(T.constant(x.T), [0, 0, 0], 1),
+}
+
+
 class TestSoftmax:
     def test_uniform_input(self):
         out = T.softmax(T.constant([[0.0, 0.0, 0.0]]), axis=-1)
@@ -92,11 +99,7 @@ class TestSoftmax:
     # The input's squares overflow, so its bound is inf.  Its entries are
     # finite, so every shifted entry is still at most 0 (-1e308 - 1e308
     # overflows to -inf) and the output is bounded by 1 without a read.
-    @pytest.mark.parametrize(
-        "form",
-        [lambda x: T.softmax(T.constant(x), axis=-1), lambda x: T.segment_softmax(T.constant(x.T), [0, 0, 0], 1)],
-        ids=["softmax", "segment_softmax"],
-    )
+    @pytest.mark.parametrize("form", HUGE_ROW_SOFTMAXES.values(), ids=HUGE_ROW_SOFTMAXES)
     def test_huge_finite_input_needs_no_output_check(self, form):
         x = np.array([[1e308, -1e308, 0.0]])
         assert T.constant(x)._max == math.inf
@@ -104,6 +107,15 @@ class TestSoftmax:
         assert error is None
         [(_, bound, out)] = records
         assert bound <= T._LIMIT
+        assert out.values.ravel().tolist() == [1.0, 0.0, 0.0]
+
+    # The same row with numpy's warnings as they are: the overflow the bound
+    # allows is ignored inside the op, so no RuntimeWarning escapes.
+    @pytest.mark.parametrize("form", HUGE_ROW_SOFTMAXES.values(), ids=HUGE_ROW_SOFTMAXES)
+    def test_huge_finite_input_warns_of_nothing(self, form):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = form(np.array([[1e308, -1e308, 0.0]]))
         assert out.values.ravel().tolist() == [1.0, 0.0, 0.0]
 
 
@@ -119,6 +131,23 @@ class TestLeakyRelu:
         x = T.parameter([0.0])
         T.backward(T.sum_all(T.leaky_relu(x)))
         np.testing.assert_array_equal(x.grad, [1.0])
+
+
+def layer_norm_grads_reference(x, gain, g, eps=1e-5):
+    """layer_norm's gradients for upstream ``g`` by the g_var/g_mu chain of
+    the standard backward; ``eps`` is the variance offset, one per row when
+    it is a column."""
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    g_xhat = g * gain
+    g_var = (g_xhat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv_std**3
+    g_mu = -(g_xhat * inv_std).sum(axis=-1, keepdims=True) + g_var * (-2.0 / d) * centered.sum(axis=-1, keepdims=True)
+    g_a = g_xhat * inv_std + g_var * (2.0 / d) * centered + g_mu / d
+    return g_a, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
 class TestLayerNorm:
@@ -166,6 +195,31 @@ class TestLayerNorm:
             with pytest.raises(NumericError, match=r"^non-finite values produced by layer_norm$"):
                 T.layer_norm(T.constant([row]), g, b)
 
+    def test_overflowing_squares_raise_without_a_warning(self):
+        g, b = self._gain_bias(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^non-finite values produced by layer_norm$"):
+                T.layer_norm(T.constant([[1e308, -1e308]]), g, b)
+
+    def test_gradient_matches_the_variance_chain(self):
+        """The input gradient from x̂ and 1/σ differs from the g_var/g_mu
+        chain's by at most 1e-12 times the row's largest entry; the gain and
+        bias gradients are the same bytes.  A quarter of the rows are scaled by 2**500
+        (about 3e150).  There the chain's inv_std**3 underflows to 0 and
+        drops its variance term, so it runs on the unscaled row with the
+        offset scaled by 2**-1000 and its result is scaled back, which is
+        exact in binary floating point."""
+        rng = stream(41, "ln-backward")
+        x, g, gain = rng.normal(size=(1093, 32)), rng.normal(size=(1093, 32)), rng.normal(size=32)
+        scale = np.where(rng.random((1093, 1)) < 0.25, 2.0**500, 1.0)
+        out = T.layer_norm(T.parameter(x * scale), T.parameter(gain), T.parameter(np.zeros(32)))
+        g_a, g_gain, g_bias = out.backward_rule(g)
+        ref_a = layer_norm_grads_reference(x, gain, g, 1e-5 / scale**2)[0] / scale
+        _, ref_gain, ref_bias = layer_norm_grads_reference(x * scale, gain, g)
+        assert (np.abs(g_a - ref_a) <= 1e-12 * np.abs(ref_a).max(axis=1, keepdims=True)).all()
+        assert (g_gain.tobytes(), g_bias.tobytes()) == (ref_gain.tobytes(), ref_bias.tobytes())
+
     @pytest.mark.parametrize("limit", [T._LIMIT, -math.inf], ids=["limit", "forced"])
     def test_largest_squares_still_normalize(self, limit):
         g, b = self._gain_bias(2)
@@ -193,6 +247,16 @@ class TestLosses:
         expected = -np.log(probs[np.arange(5), labels]).mean()
         loss = T.cross_entropy(T.constant(logits), labels)
         np.testing.assert_allclose(loss.item(), expected, atol=1e-10)
+
+    # A row spanning more than the double range, with numpy's warnings as they
+    # are: lse - logit[y] is 0 for the larger logit and overflows for the other.
+    def test_cross_entropy_beyond_the_double_range_warns_of_nothing(self):
+        logits = T.constant([[1e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert T.cross_entropy(logits, [0]).item() == 0.0
+            with pytest.raises(NumericError, match=r"^non-finite values produced by cross_entropy$"):
+                T.cross_entropy(logits, [1])
 
     def test_cross_entropy_label_range(self):
         from molfuse.errors import DataError
@@ -827,6 +891,14 @@ SHAPE_FAULTS = {
     ),
     "item_of_two": (lambda: T.constant([1.0, 2.0]).item(), "single-element tensor, got shape (2,)"),
     "matmul_1d": (lambda: T.matmul(T.constant(np.ones(3)), T.constant(np.ones((3, 2)))), "got (3,) and (3, 2)"),
+    "softmax_float_axis": (
+        lambda: T.softmax(T.constant(np.ones((2, 3))), axis=1.0),
+        "softmax axis 1.0 invalid for shape (2, 3)",
+    ),
+    "softmax_bool_axis": (
+        lambda: T.softmax(T.constant(np.ones((2, 3))), axis=True),
+        "softmax axis True invalid for shape (2, 3)",
+    ),
     "layer_norm_gain": (
         lambda: T.layer_norm(T.constant(np.ones((2, 3))), T.constant(np.ones(2)), T.constant(np.zeros(3))),
         "must have shape (3,), got (2,) and (3,)",
