@@ -6,13 +6,13 @@ disjoint-union batch graph; one character-token self-attention layer
 (pre-norm, GELU feed-forward) reads the SMILES string; a mean readout over
 each molecule's atoms then cross-attends to the molecule's tokens
 (graph-to-token), and a linear head gives class logits.  ``matmul`` is 2-D
-only, so both attentions are segment attentions over within-molecule pairs
-that :func:`collate` enumerates, in one pass over the batch's stacked arrays
-with no numpy call per molecule.  Token self-attention is limited to a window
-of ``WINDOW`` characters and the cross-attention query is one vector per
-molecule: full token-pair attention over a batch of 256 screening molecules
-needs about a million pairs, whose (pairs, DIM) float64 arrays reach a
-gigabyte of memory.
+only, so all three attentions run over listed (query, key) pairs that
+:func:`collate` enumerates in one pass over the batch's stacked arrays, and
+the GAT layers and both dot-product attentions share one tail,
+:func:`_attend`.  Token self-attention is limited to a window of ``WINDOW``
+characters and the cross-attention query is one vector per molecule: full
+token-pair attention over a batch of 256 screening molecules needs about a
+million pairs, whose (pairs, DIM) float64 arrays reach a gigabyte of memory.
 
 Parameter names and shapes are those of the benchmark's reference copy in
 ``perfbench/stack.py``, so checkpoints load into either.  That copy stays
@@ -95,7 +95,7 @@ def encode_atoms(features: np.ndarray) -> np.ndarray:
 
 
 def collate(graphs: list[MolecularGraph]) -> Batch:
-    """Batch featurized molecules into one graph plus character tokens."""
+    """Batch featurized molecules into one graph plus character tokens, with no numpy call per molecule."""
     if not graphs:
         raise DataError("collate needs at least one molecule, got an empty batch")
     sizes = [g.num_atoms for g in graphs]
@@ -167,13 +167,16 @@ def init_params(rng: np.random.Generator) -> dict[str, Tensor]:
 # ---- forward stages -------------------------------------------------------------
 
 
-def _segment_attention(q: Tensor, k: Tensor, v: Tensor, q_idx, k_idx, num_q: int) -> Tensor:
-    """Multi-head dot-product attention restricted to listed (query, key) pairs."""
-    scores = T.gather_rows(q, q_idx) * T.gather_rows(k, k_idx)
-    scores = T.scale(T.matmul(scores, _HEAD_SUM), 1.0 / np.sqrt(DIM // HEADS))
+def _attend(scores: Tensor, v_rows: Tensor, q_idx, num_q: int) -> Tensor:
+    """Softmax each head's scores over its query's pairs, then sum the pairs' value rows so weighted."""
     alpha = T.segment_softmax(scores, q_idx, num_q)
-    weighted = T.gather_rows(v, k_idx) * T.matmul(alpha, _HEAD_SPREAD)
-    return T.segment_sum(weighted, q_idx, num_q)
+    return T.segment_sum(v_rows * T.matmul(alpha, _HEAD_SPREAD), q_idx, num_q)
+
+
+def _segment_attention(q_rows: Tensor, k_rows: Tensor, v_rows: Tensor, q_idx, num_q: int) -> Tensor:
+    """Multi-head dot-product attention over listed pairs, from each pair's query, key and value rows."""
+    scores = T.scale(T.matmul(q_rows * k_rows, _HEAD_SUM), 1.0 / np.sqrt(DIM // HEADS))
+    return _attend(scores, v_rows, q_idx, num_q)
 
 
 def _gat_layer(h: Tensor, p: dict[str, Tensor], layer: str, batch: Batch) -> Tensor:
@@ -182,9 +185,7 @@ def _gat_layer(h: Tensor, p: dict[str, Tensor], layer: str, batch: Batch) -> Ten
     s_src = T.matmul(z * p[f"{layer}.src"], _HEAD_SUM)
     s_dst = T.matmul(z * p[f"{layer}.dst"], _HEAD_SUM)
     e = T.leaky_relu(T.gather_rows(s_src, batch.edge_src) + T.gather_rows(s_dst, batch.edge_dst))
-    alpha = T.segment_softmax(e, batch.edge_dst, n)
-    msg = T.gather_rows(z, batch.edge_src) * T.matmul(alpha, _HEAD_SPREAD)
-    return T.elu(T.segment_sum(msg, batch.edge_dst, n) + p[f"{layer}.b"])
+    return T.elu(_attend(e, T.gather_rows(z, batch.edge_src), batch.edge_dst, n) + p[f"{layer}.b"])
 
 
 def gat(p: dict[str, Tensor], batch: Batch) -> Tensor:
@@ -197,10 +198,9 @@ def token(p: dict[str, Tensor], batch: Batch) -> Tensor:
     """Character embedding plus one pre-norm Transformer layer: (tokens, DIM)."""
     x = T.gather_rows(p["tok.embed"], batch.tok_ids) + T.gather_rows(p["tok.pos"], batch.tok_pos)
     h = T.layer_norm(x, p["tok.ln1.g"], p["tok.ln1.b"])
-    n = x.shape[0]
-    att = _segment_attention(
-        T.matmul(h, p["tok.q"]), T.matmul(h, p["tok.k"]), T.matmul(h, p["tok.v"]), batch.tt_q, batch.tt_k, n
-    )
+    q, k, v = (T.matmul(h, p[f"tok.{name}"]) for name in "qkv")
+    q, k, v = T.gather_rows(q, batch.tt_q), T.gather_rows(k, batch.tt_k), T.gather_rows(v, batch.tt_k)
+    att = _segment_attention(q, k, v, batch.tt_q, x.shape[0])
     x = x + T.matmul(att, p["tok.o"])
     h = T.layer_norm(x, p["tok.ln2.g"], p["tok.ln2.b"])
     ff = T.matmul(T.gelu(T.matmul(h, p["tok.ff1"]) + p["tok.ff1b"]), p["tok.ff2"]) + p["tok.ff2b"]
@@ -210,10 +210,10 @@ def token(p: dict[str, Tensor], batch: Batch) -> Tensor:
 def cross(p: dict[str, Tensor], atoms: Tensor, tokens: Tensor, batch: Batch) -> Tensor:
     """Mean readout of the atoms, which then attends to its molecule's tokens: (mols, DIM)."""
     pooled = T.segment_sum(atoms, batch.atom_mol, batch.num_mols) * T.constant(batch.inv_atoms)
-    q = T.matmul(pooled, p["cross.q"])
+    q = T.gather_rows(T.matmul(pooled, p["cross.q"]), batch.tok_mol)  # each token's pair: its molecule's query
     k = T.matmul(tokens, p["cross.k"])
     v = T.matmul(tokens, p["cross.v"])
-    att = _segment_attention(q, k, v, batch.tok_mol, np.arange(tokens.shape[0]), batch.num_mols)
+    att = _segment_attention(q, k, v, batch.tok_mol, batch.num_mols)
     return T.layer_norm(pooled + T.matmul(att, p["cross.o"]), p["cross.ln.g"], p["cross.ln.b"])
 
 

@@ -38,9 +38,17 @@ Conventions:
     2·B+log C+1 for C classes; ``layer_norm`` √d·B(gain)+B(bias) for
     last-axis size d, as a finite row variance bounds each normalized entry
     by √d (it reads the variance when 4·d·B(a)² exceeds the limit: one that
-    overflows would collapse the row to the bias).  When B(a), or that
-    4·d·B(a)², exceeds the limit, these four run under ``np.errstate``
-    ignoring overflow and invalid results, so finite inputs warn of nothing.
+    overflows would collapse the row to the bias).
+  - One rule keeps finite inputs from warning: an op whose arithmetic may
+    overflow, because its bound exceeds the limit (for the softmax ops and
+    ``cross_entropy``, B(a); for ``layer_norm``'s moments, 4·d·B(a)²),
+    computes quietly, ignoring overflow and invalid results: ``add``,
+    ``mul``, ``scale``, ``matmul`` and ``sum_all`` through ``_quiet``, one
+    comparison below the limit, and the longer ops under ``_errstate``, a
+    no-op ``with`` there.  ``_make`` then checks the result.
+    ``backward``'s sweep also computes quietly, under one ``np.errstate``:
+    a gradient that overflows reaches its leaf as inf or NaN, and
+    ``adam_step`` raises ``NumericError`` naming the parameter.
   - ``_make`` skips the output when the bound is at most ``_LIMIT`` (1e300).
     Otherwise it runs the exact check and keeps the ``_norm`` as the bound.
     Either way it stores the result as it is, without a copy.  Rounding in
@@ -125,7 +133,9 @@ Conventions:
   row, segment or class count n, else ``DataError``.  Each message starts
   with the argument's name.  A 0-d tensor, having no rows, a segment count
   below 0 and a ``softmax`` axis out of range, or either not an integer
-  (``operator.index``, ``bool`` excluded), raise ``ShapeError`` first.
+  (``operator.index``, ``bool`` excluded), raise ``ShapeError`` first, and
+  so does a segment count whose output numpy cannot hold (more than
+  ``sys.maxsize`` bytes, zero dimensions left out, as numpy counts them).
 * Imports: scipy is used for two compiled functions only, ``csc_matvecs``
   (segment sums) and ``erf`` (``gelu``).  ``_scipy_extension`` loads each
   one's extension file (``scipy.sparse._sparsetools``,
@@ -427,6 +437,12 @@ def _errstate(risky: bool):
     return np.errstate(over="ignore", invalid="ignore") if risky else _NO_ERRSTATE
 
 
+def _quiet(f: Callable, *args):
+    """``f(*args)`` ignoring overflow and invalid results, for an op whose bound exceeds ``_LIMIT`` (Conventions)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return f(*args)
+
+
 def _integer(value) -> int | None:
     """``operator.index(value)``, or ``None`` for a ``bool`` or a non-integer (Conventions)."""
     try:
@@ -474,25 +490,31 @@ def backward(loss: Tensor) -> None:
     one graph, and a leaf's ``grad`` also across repeated backward calls
     (clear with ``zero_grad`` between steps).  Interior gradients are local
     to the sweep.  The graph is left as it was, so ``backward`` may run
-    again while ``loss`` is held.
+    again while ``loss`` is held.  A loss with no recorded op raises
+    :class:`~molfuse.errors.DataError` unless it requires gradients itself
+    (a parameter, which gets ``grad`` 1): one computed under ``no_grad`` or
+    from constants only would otherwise train nothing.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss._node is None:
+        if not loss.requires_grad:
+            raise DataError("backward needs a loss recorded from parameters, got one with no recorded op")
         _accumulate(loss, np.ones_like(loss.values))
         return
     # Interior gradients by node.  A rule returns an array in each slot
     # whose entry is not None, so each node has one before the sweep
-    # reaches it.
+    # reaches it.  The sweep computes quietly (Conventions).
     pending = {loss._node: np.ones_like(loss.values)}
-    for node in reversed(Tape.trace(loss)):
-        for entry, grad in zip(node.inputs, node.backward_rule(pending.pop(node))):
-            if entry is None:
-                continue
-            if type(entry) is _Node:
-                pending[entry] = pending[entry] + grad if entry in pending else grad
-            else:
-                _accumulate(entry, grad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node in reversed(Tape.trace(loss)):
+            for entry, grad in zip(node.inputs, node.backward_rule(pending.pop(node))):
+                if entry is None:
+                    continue
+                if type(entry) is _Node:
+                    pending[entry] = pending[entry] + grad if entry in pending else grad
+                else:
+                    _accumulate(entry, grad)
 
 
 def _accumulate(leaf: Tensor, grad: Array) -> None:
@@ -526,8 +548,9 @@ def _broadcast_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    bound = a._max + b._max
     try:
-        out = a.values + b.values
+        out = a.values + b.values if bound <= _LIMIT else _quiet(np.add, a.values, b.values)
     except ValueError:
         raise _broadcast_error("add", a, b) from None
 
@@ -542,12 +565,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 None if b_shape is None else _unbroadcast(g, b_shape),
             )
 
-    return _make(out, "add", (a, b), rule, a._max + b._max)
+    return _make(out, "add", (a, b), rule, bound)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    bound = a._max * b._max
     try:
-        out = a.values * b.values
+        out = a.values * b.values if bound <= _LIMIT else _quiet(np.multiply, a.values, b.values)
     except ValueError:
         raise _broadcast_error("mul", a, b) from None
 
@@ -563,14 +587,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                 None if a_values is None else _unbroadcast(g * a_values, b_shape),
             )
 
-    return _make(out, "mul", (a, b), rule, a._max * b._max)
+    return _make(out, "mul", (a, b), rule, bound)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     f = float(factor)
-    out = a.values * f
+    bound = abs(f) * a._max
+    out = a.values * f if bound <= _LIMIT else _quiet(np.multiply, a.values, f)
     rule = (lambda g: (g * f,)) if _recording(a) else None
-    return _make(out, "scale", (a,), rule, abs(f) * a._max)
+    return _make(out, "scale", (a,), rule, bound)
 
 
 # ---- linear algebra -----------------------------------------------------------
@@ -594,7 +619,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a.values @ b.values
+    bound = a.shape[1] * a._max * b._max
+    out = a.values @ b.values if bound <= _LIMIT else _quiet(np.matmul, a.values, b.values)
 
     rule = None
     if _recording(a, b):
@@ -607,7 +633,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 None if a_values is None else _weight_grad(a_values, g),
             )
 
-    return _make(out, "matmul", (a, b), rule, a.shape[1] * a._max * b._max)
+    return _make(out, "matmul", (a, b), rule, bound)
 
 
 def _ids(values, name: str, count: int, rows: int | None = None) -> Array:
@@ -648,7 +674,8 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = a.values.sum()
+    bound = a.size * a._max
+    out = a.values.sum() if bound <= _LIMIT else _quiet(np.sum, a.values)
     rule = None
     if _recording(a):
         shape = a.shape
@@ -656,7 +683,7 @@ def sum_all(a: Tensor) -> Tensor:
         def rule(g):
             return (np.broadcast_to(g, shape),)
 
-    return _make(out, "sum_all", (a,), rule, a.size * a._max)
+    return _make(out, "sum_all", (a,), rule, bound)
 
 
 # ---- nonlinearities -----------------------------------------------------------
@@ -726,17 +753,18 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"layer_norm needs a nonempty last axis, got shape {a.shape}")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
+    bound = math.sqrt(d) * gain._max + bias._max
     risky = 4.0 * d * a._max * a._max > _LIMIT  # the centered squares may overflow
-    with _errstate(risky):
+    with _errstate(risky or bound > _LIMIT):
         # sum / d is what ndarray.mean computes, bit for bit, without its wrappers.
         mu = a.values.sum(axis=-1, keepdims=True) / d
         centered = a.values - mu
         var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    if risky and not math.isfinite(var.max()):  # an overflowing variance collapses its row to the bias
-        raise NumericError("non-finite values produced by layer_norm")
-    inv_std = 1.0 / np.sqrt(var + 1e-5)
-    xhat = centered * inv_std
-    out = xhat * gain.values + bias.values
+        if risky and not math.isfinite(var.max()):  # an overflowing variance collapses its row to the bias
+            raise NumericError("non-finite values produced by layer_norm")
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = centered * inv_std
+        out = xhat * gain.values + bias.values
 
     rule = None
     if _recording(a, gain, bias):
@@ -750,7 +778,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             g_a *= inv_std
             return g_a, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
-    return _make(out, "layer_norm", (a, gain, bias), rule, math.sqrt(d) * gain._max + bias._max)
+    return _make(out, "layer_norm", (a, gain, bias), rule, bound)
 
 
 # ---- segment operations (graph aggregation) -----------------------------------
@@ -760,7 +788,8 @@ def _checked_segments(segment_ids, shape: tuple[int, ...], num_segments) -> tupl
     """Private ids, one per row of an array of ``shape`` and each in [0, count), and the count.
 
     The count sizes the array the summing kernel writes into, so anything
-    but a non-negative integer raises ``ShapeError`` before the ids are read.
+    but a non-negative integer, or a count whose output numpy cannot hold,
+    raises ``ShapeError`` before the ids are read or anything is allocated.
     """
     count = _integer(num_segments)
     if count is None or count < 0:
@@ -769,6 +798,12 @@ def _checked_segments(segment_ids, shape: tuple[int, ...], num_segments) -> tupl
         )
     if not shape:
         raise ShapeError(f"segment ops need a tensor with rows, got shape {shape}")
+    if count > shape[0]:  # only then can the output, count rows shaped like the input's, outgrow it
+        width = math.prod(d for d in shape[1:] if d)  # numpy leaves zero dimensions out of its byte count
+        if count * width * 8 > sys.maxsize:
+            raise ShapeError(
+                f"num_segments {count} is too large: numpy cannot hold {count} rows of {width} float64 values"
+            )
     return _ids(segment_ids, "segment ids", count, shape[0]), count
 
 

@@ -206,6 +206,31 @@ class TestCompositeGradients:
         err = max_relative_error({"w1": w1, "w2": w2}, make_loss, n_points=10, rng=stream(18, "pts"))
         assert err < 1e-4
 
+    @pytest.mark.parametrize("wrong", ["w1", "w2"])
+    def test_every_parameter_is_checked_along_a_direction(self, wrong, monkeypatch):
+        """With no coordinate picks, a gradient a thousandth off in either parameter still fails."""
+        rng = stream(23, "directions")
+        params = {"w1": T.parameter(rng.normal(size=(4, 6))), "w2": T.parameter(rng.normal(size=(6, 2)))}
+        x = T.constant(rng.normal(size=(3, 4)))
+
+        def make_loss():
+            return T.cross_entropy(T.matmul(T.gelu(T.matmul(x, params["w1"])), params["w2"]), np.array([0, 1, 0]))
+
+        assert max_relative_error(params, make_loss, n_points=0, rng=stream(24, "pts")) < 1e-6
+        accumulate = T._accumulate
+        monkeypatch.setattr(
+            T, "_accumulate", lambda leaf, grad: accumulate(leaf, grad * 1.001 if leaf is params[wrong] else grad)
+        )
+        assert max_relative_error(params, make_loss, n_points=0, rng=stream(24, "pts")) >= 1e-4
+
+    def test_empty_parameter_is_checked_without_error(self):
+        w, empty = T.parameter([1.0, -2.0, 0.5]), T.parameter(np.zeros((0, 2)))
+
+        def make_loss():
+            return T.sum_all(T.mul(w, w))
+
+        assert max_relative_error({"w": w, "empty": empty}, make_loss, n_points=3, rng=stream(25, "pts")) < 1e-6
+
     def test_parameters_are_restored_byte_for_byte(self):
         # numeric_partial reassigns perturbed copies; each parameter ends as it began.
         rng = stream(21, "restored")

@@ -77,6 +77,36 @@ def test_gradients_agree_with_finite_differences():
     assert err < 1e-4
 
 
+def test_gradient_check_catches_a_thousandth_off_in_a_parameter_no_pick_reaches(monkeypatch):
+    # The check above picks no gat0.src coordinate; its per-parameter direction must see the error.
+    graphs, labels = molecules("train_b32")
+    params = model.init_params(stream(7, "gradcheck:init"))
+    batch = model.collate(graphs[:3])
+    accumulate = T._accumulate
+    monkeypatch.setattr(
+        T, "_accumulate", lambda leaf, grad: accumulate(leaf, grad * 1.001 if leaf is params["gat0.src"] else grad)
+    )
+    err = max_relative_error(
+        params, lambda: T.cross_entropy(model.forward(params, batch), labels[:3]), n_points=20, rng=stream(7, "gradcheck")
+    )
+    assert err >= 1e-4
+
+
+def test_forward_gathers_no_identity_rows(monkeypatch):
+    graphs, _ = molecules("train_b32")
+    params = model.init_params(stream(7, "weights"))
+    gather, identities = T.gather_rows, []
+
+    def spy(a, indices):
+        if np.array_equal(indices, np.arange(a.shape[0])):
+            identities.append(a.shape)
+        return gather(a, indices)
+
+    monkeypatch.setattr(T, "gather_rows", spy)
+    model.forward(params, model.collate(graphs))
+    assert identities == []
+
+
 @pytest.mark.parametrize("name", [*BATCHES, *HAND_BATCHES])
 def test_batched_logits_equal_per_molecule_logits(name):
     graphs, _ = molecules(name)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from molfuse import tensor as T
-from molfuse.errors import DataError, NumericError, ShapeError
+from molfuse.errors import DataError, MolfuseError, NumericError, ShapeError
 from molfuse.gradcheck import OP_CASES
+from molfuse.optim import AdamState, adam_step
 from molfuse.rng import stream
 
 try:
@@ -191,7 +192,7 @@ class TestLayerNorm:
     @pytest.mark.parametrize("row", [[1e155, -1e155], [3.0, 1e160]])
     def test_overflowing_variance_raises(self, row, limit):
         g, b = self._gain_bias(2)
-        with mock.patch.object(T, "_LIMIT", limit), np.errstate(all="ignore"):
+        with mock.patch.object(T, "_LIMIT", limit):
             with pytest.raises(NumericError, match=r"^non-finite values produced by layer_norm$"):
                 T.layer_norm(T.constant([row]), g, b)
 
@@ -223,7 +224,7 @@ class TestLayerNorm:
     @pytest.mark.parametrize("limit", [T._LIMIT, -math.inf], ids=["limit", "forced"])
     def test_largest_squares_still_normalize(self, limit):
         g, b = self._gain_bias(2)
-        with mock.patch.object(T, "_LIMIT", limit), np.errstate(all="ignore"):
+        with mock.patch.object(T, "_LIMIT", limit):
             out = T.layer_norm(T.constant([[1e153, -1e153]]), g, b)
         np.testing.assert_array_equal(out.values, [[1.0, -1.0]])
 
@@ -644,15 +645,26 @@ def test_bad_num_segments_raise_shape_error(op, kind):
     assert str(info.value) == f"num_segments must be a non-negative integer, {got}"
 
 
+@pytest.mark.parametrize("op", [T.segment_sum, T.segment_softmax], ids=["segment_sum", "segment_softmax"])
+@pytest.mark.parametrize("shape, width", [((2, 2), 2), ((2, 0), 1)], ids=["rows", "empty-rows"])
+def test_num_segments_numpy_cannot_hold_raise_shape_error(op, shape, width):
+    # numpy leaves zero dimensions out of its byte count, so empty rows count as one value.
+    count = 2**62
+    message = f"num_segments {count} is too large: numpy cannot hold {count} rows of {width} float64 values"
+    with pytest.raises(ShapeError) as info:
+        op(T.constant(np.ones(shape)), [0, 1], count)
+    assert info.type is ShapeError
+    assert str(info.value) == message
+
+
 class TestFiniteCheckAndGradientContracts:
     def test_checked_ops_reject_overflow(self):
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericError):
-                T.mul(T.constant([1e200]), T.constant([1e200]))
-            with pytest.raises(NumericError):
-                T.matmul(T.constant([[1e200]]), T.constant([[1e200]]))
-            with pytest.raises(NumericError):
-                T.segment_sum(T.constant([1e308, 1e308]), np.array([0, 0]), 1)
+        with pytest.raises(NumericError):
+            T.mul(T.constant([1e200]), T.constant([1e200]))
+        with pytest.raises(NumericError):
+            T.matmul(T.constant([[1e200]]), T.constant([[1e200]]))
+        with pytest.raises(NumericError):
+            T.segment_sum(T.constant([1e308, 1e308]), np.array([0, 0]), 1)
 
     def test_leaf_grads_are_private(self):
         a = T.parameter([1.0, 2.0])
@@ -683,6 +695,91 @@ class TestFiniteCheckAndGradientContracts:
             assert grads[1 - const_slot].shape == p.shape
 
 
+class TestBackwardNeedsARecordedLoss:
+    MESSAGE = r"^backward needs a loss recorded from parameters, got one with no recorded op$"
+
+    def test_loss_recorded_under_no_grad_raises_and_trains_nothing(self):
+        w = T.parameter([1.0, 2.0])
+        with T.no_grad():
+            loss = T.sum_all(T.mul(w, T.constant([3.0, 4.0])))
+        with pytest.raises(DataError, match=self.MESSAGE):
+            T.backward(loss)
+        assert w.grad is None and loss.grad is None
+
+    def test_constant_loss_raises(self):
+        loss = T.constant(2.0)
+        with pytest.raises(DataError, match=self.MESSAGE):
+            T.backward(loss)
+        assert loss.grad is None
+
+    def test_parameter_is_its_own_loss(self):
+        p = T.parameter(2.0)
+        T.backward(p)
+        assert p.grad == 1.0
+
+
+# Finite inputs whose result overflows: each op raises NumericError, not numpy's RuntimeWarning.
+OVERFLOWING_CALLS = {
+    "add": lambda: T.add(T.constant([1.7e308]), T.constant([1.7e308])),
+    "mul": lambda: T.mul(T.constant([1e200]), T.constant([1e200])),
+    "scale": lambda: T.scale(T.constant([1e300]), 1e300),
+    "matmul": lambda: T.matmul(T.constant([[1e200]]), T.constant([[1e200]])),
+    "sum_all": lambda: T.sum_all(T.constant([1.7e308, 1.7e308])),
+    # The variance is finite; the affine step overflows.
+    "layer_norm": lambda: T.layer_norm(
+        T.constant([[1.0, 2.0, 4.0]]), T.constant(np.full(3, 1.7e308)), T.constant(np.full(3, 1.7e308))
+    ),
+}
+
+
+@pytest.mark.parametrize("op", OVERFLOWING_CALLS)
+def test_overflowing_result_raises_numeric_error_without_a_warning(op):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
+            OVERFLOWING_CALLS[op]()
+
+
+def test_overflowing_gradient_reaches_its_leaf_without_a_warning():
+    q = T.parameter([1e-200])
+    loss = T.sum_all(T.mul(T.mul(q, T.constant([1e200])), T.constant([1e200])))
+    assert loss.item() == pytest.approx(1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T.backward(loss)
+    assert q.grad[0] == math.inf
+    state = AdamState()
+    with pytest.raises(NumericError, match=r"^non-finite gradient for parameter 'q'; step aborted$"):
+        adam_step({"q": q}, state)
+    assert state.step_count == 0
+
+
+@pytest.mark.parametrize("name", OP_CASES)
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.just(308.0) | st.floats(-300.0, 308.0), min_size=3, max_size=3),
+)
+def test_inputs_scaled_toward_the_double_range_warn_of_nothing(name, seed, exponents):
+    """Each input's largest entry is scaled to 10**e, often to 1e308: the op
+    gives a finite result or a MolfuseError, and backward through it warns
+    of nothing."""
+    op, shapes, sample = OP_CASES[name]
+    rng = np.random.default_rng(seed)
+    arrays = [sample(rng, shape) for shape in shapes]
+    leaves = [T.parameter(x / np.abs(x).max() * 10.0**e) for x, e in zip(arrays, exponents)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = op(*leaves)
+            loss = T.sum_all(T.mul(out, T.constant(rng.normal(size=out.shape))))
+        except MolfuseError:
+            return
+        assert np.isfinite(out.values).all() and math.isfinite(loss.item())
+        T.backward(loss)
+    assert all(leaf.grad is not None for leaf in leaves)
+
+
 def bounded(values) -> T.Tensor:
     """An op result holding ``values``."""
     return T.scale(T.constant(values), 1.0)
@@ -700,7 +797,7 @@ def run_recording(call):
         records.append((op, bound, t))
         return t
 
-    with mock.patch.object(T, "_make", spy), np.errstate(all="ignore"):
+    with mock.patch.object(T, "_make", spy):
         try:
             call()
         except NumericError as exc:
@@ -750,9 +847,9 @@ def test_underflowing_bound_still_bounds(op):
     check of every result catches it."""
     h = T.scale(T.constant(TINY), 1e300)
     assert h._max >= np.abs(h.values).max()
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
+    with pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
         UNDERFLOW_CHAINS[op](h)
-    with mock.patch.object(T, "_LIMIT", -math.inf), np.errstate(all="ignore"):
+    with mock.patch.object(T, "_LIMIT", -math.inf):
         with pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
             UNDERFLOW_CHAINS[op](T.scale(T.constant(TINY), 1e300))
 
@@ -802,7 +899,7 @@ class TestReassignedResults:
         # Had r kept its old bound (2), that times k's would prove the overflowing product finite.
         r = bounded(np.ones((2, 2)))
         r.values = np.full((2, 2), 1e200)
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
+        with pytest.raises(NumericError, match=rf"^non-finite values produced by {op}$"):
             NEXT_OPS[op](r, bounded(np.full((2, 2), 1e109)))
 
     @pytest.mark.parametrize("op", ["add", "segment_sum"])
