@@ -32,17 +32,6 @@ _DIRECTION_STEP = 1e-6
 Sampler = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
 
 
-def numeric_partial(make_loss: Callable[[], Tensor], param: Tensor, flat_index: int) -> float:
-    """Central finite difference (step ``STEP``) of the loss w.r.t. one coordinate.
-
-    ``flat_index`` counts in C order.  The difference is
-    :func:`_directional`'s along that coordinate's unit vector.
-    """
-    direction = np.zeros(param.shape)
-    direction[np.unravel_index(flat_index, param.shape)] = 1.0
-    return _directional(make_loss, param, direction, STEP)
-
-
 def _directional(make_loss: Callable[[], Tensor], param: Tensor, direction: np.ndarray, step: float) -> float:
     """Central finite difference of the loss along ``direction`` in one parameter.
 
@@ -70,7 +59,8 @@ def max_relative_error(
     """Compare autodiff gradients against finite differences at random coordinates and directions.
 
     ``n_points`` coordinates are picked over all parameters at once, so a
-    small parameter may get none.  Then every parameter is also checked
+    small parameter may get none; each is checked by the central difference
+    along its unit vector (step ``STEP``).  Then every parameter is also checked
     along one direction ``v ~ N(0, I)`` of its shape, drawn from ``rng``
     after the picks: ``vdot(grad, v)`` against the central difference along
     ``v`` (step ``_DIRECTION_STEP``).  Relative error uses
@@ -91,8 +81,10 @@ def max_relative_error(
         k = int(np.searchsorted(ends, pick, side="right"))
         pick -= ends[k] - sizes[k]
         name, param = ordered[k]
-        a = float(analytic[name].reshape(-1)[pick])
-        compared.append((a, numeric_partial(make_loss, param, int(pick)), _DENOM_FLOOR))
+        unit = np.zeros(param.shape)
+        unit[np.unravel_index(pick, param.shape)] = 1.0
+        n = _directional(make_loss, param, unit, STEP)
+        compared.append((float(analytic[name].reshape(-1)[pick]), n, _DENOM_FLOOR))
     for name, param in ordered:
         v = rng.normal(size=param.shape)
         n = _directional(make_loss, param, v, _DIRECTION_STEP)

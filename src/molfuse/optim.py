@@ -19,11 +19,13 @@ EPSILON = 1e-8
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter.
 
-    Invariants: learning_rate is finite and >= 0; moment arrays match their
-    parameter shapes.  The decay rates and epsilon are the module constants
-    ``BETA1``, ``BETA2`` and ``EPSILON``.
-    ``step_count`` increments before bias correction, so the first step
-    uses t = 1.
+    Invariants: learning_rate is finite and >= 0 at construction; moment
+    arrays are finite and match their parameter shapes.  The decay rates and
+    epsilon are the module constants ``BETA1``, ``BETA2`` and ``EPSILON``.
+    ``step_count`` counts the steps kept, so the first step uses t = 1.
+    A step is kept whole or not at all: :func:`adam_step` replaces each
+    stepped parameter's moment arrays with new ones, never editing an array
+    in place, and changes nothing when it raises.
     """
 
     learning_rate: float = 1e-4
@@ -39,27 +41,38 @@ class AdamState:
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One bias-corrected Adam update, reading gradients from ``param.grad``.
 
-    Parameters without a populated gradient are skipped.  A non-finite
-    gradient aborts the step before any parameter is touched.
+    Parameters without a populated gradient are skipped.  The step is kept
+    whole or not at all.  It first computes every new moment and value out
+    of place, ignoring overflow and invalid results; a missing moment counts
+    as a float64 0, so moments are float64 whatever the gradient's dtype.
+    Then it requires all of them to be finite, which catches a non-finite
+    gradient, a square that overflows (a gradient above about 1e154) and a
+    non-finite ``learning_rate`` alike.  It reads the second moments and the
+    values only: where a second moment is finite, a non-finite first moment
+    makes its value non-finite (``0·inf`` is NaN, so even at a zero
+    ``learning_rate``).  Only then does it replace the moments with the new
+    arrays, reassign the values and advance ``step_count``.  A
+    ``ShapeError`` or ``NumericError`` leaves ``state`` and every parameter
+    as they were.
     """
-    live = {name: p for name, p in params.items() if p.grad is not None}
-    for name, p in live.items():
-        if p.grad.shape != p.values.shape:
-            raise ShapeError(f"gradient shape {p.grad.shape} != parameter shape {p.values.shape} for {name!r}")
-        if not _all_finite(p.grad):
-            raise NumericError(f"non-finite gradient for parameter {name!r}; step aborted")
-    state.step_count += 1
-    t = state.step_count
-    bias1 = 1.0 - BETA1**t
-    bias2 = 1.0 - BETA2**t
-    for name, p in live.items():
-        g = p.grad
-        m = state.first_moment.setdefault(name, np.zeros_like(p.values))
-        v = state.second_moment.setdefault(name, np.zeros_like(p.values))
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.values = p.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+    t = state.step_count + 1
+    bias1, bias2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+    new = {}  # name -> (first moment, second moment, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = p.grad
+            if g is None:
+                continue
+            if g.shape != p.values.shape:
+                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.values.shape} for {name!r}")
+            m = BETA1 * state.first_moment.get(name, np.float64(0.0)) + (1.0 - BETA1) * g
+            v = BETA2 * state.second_moment.get(name, np.float64(0.0)) + (1.0 - BETA2) * (g * g)
+            new[name] = m, v, p.values - state.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + EPSILON)
+    for name, (_, v, values) in new.items():
+        if not (_all_finite(v) and _all_finite(values)):
+            cause = "Adam update" if _all_finite(params[name].grad) else "gradient"
+            raise NumericError(f"non-finite {cause} for parameter {name!r}; step aborted")
+    for name, (m, v, values) in new.items():
+        state.first_moment[name], state.second_moment[name] = m, v
+        params[name].values = values
+    state.step_count = t

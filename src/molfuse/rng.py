@@ -9,16 +9,28 @@ platforms.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 def stream(seed: int, name: str) -> np.random.Generator:
-    """Return the named generator for an integer seed.
+    """Return the named generator for a non-negative integer seed.
 
     The name is hashed into the Philox key so that e.g. ``stream(7, "init")``
-    and ``stream(7, "shuffle")`` never overlap.
+    and ``stream(7, "shuffle")`` never overlap.  The seed is read with
+    ``operator.index``, so numpy integers give the same stream as the equal
+    ``int``; a ``bool``, a negative or a non-integer seed raises
+    :class:`~molfuse.errors.ParameterError`.
     """
+    try:
+        value = None if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or value < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r} ({type(seed).__name__})")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), key])))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([value, key])))

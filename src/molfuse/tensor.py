@@ -48,7 +48,8 @@ Conventions:
     no-op ``with`` there.  ``_make`` then checks the result.
     ``backward``'s sweep also computes quietly, under one ``np.errstate``:
     a gradient that overflows reaches its leaf as inf or NaN, and
-    ``adam_step`` raises ``NumericError`` naming the parameter.
+    ``adam_step`` raises ``NumericError`` naming the parameter, before it
+    changes any parameter or moment.
   - ``_make`` skips the output when the bound is at most ``_LIMIT`` (1e300).
     Otherwise it runs the exact check and keeps the ``_norm`` as the bound.
     Either way it stores the result as it is, without a copy.  Rounding in

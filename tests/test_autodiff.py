@@ -232,7 +232,7 @@ class TestCompositeGradients:
         assert max_relative_error({"w": w, "empty": empty}, make_loss, n_points=3, rng=stream(25, "pts")) < 1e-6
 
     def test_parameters_are_restored_byte_for_byte(self):
-        # numeric_partial reassigns perturbed copies; each parameter ends as it began.
+        # _directional reassigns perturbed copies; each parameter ends as it began.
         rng = stream(21, "restored")
         params = {"w": T.parameter(rng.normal(size=(3, 4))), "b": T.parameter(rng.normal(size=4))}
         x = T.constant(rng.normal(size=(2, 3)))

@@ -1,6 +1,7 @@
 """Adam update semantics, including a step-by-step manual trace oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,3 +106,77 @@ def test_moments_match_parameter_shapes():
     adam_step({"p": p}, state)
     assert state.first_moment["p"].shape == (2, 3)
     assert state.second_moment["p"].shape == (2, 3)
+
+
+# ---- a step is kept whole or not at all ------------------------------------------
+
+
+def _snapshot(params, state):
+    """Everything a step may change, as bytes."""
+    return (
+        state.step_count,
+        {name: p.values.tobytes() for name, p in params.items()},
+        {name: m.tobytes() for name, m in state.first_moment.items()},
+        {name: v.tobytes() for name, v in state.second_moment.items()},
+    )
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_gradient_whose_square_overflows_raises_and_changes_nothing(action):
+    # 1e200 is finite, but its square is not: the second moment would be inf.
+    p = T.parameter([1.0, 2.0])
+    p.grad = np.array([1e200, 1.0])
+    state = AdamState()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(NumericError, match=r"^non-finite Adam update for parameter 'p'; step aborted$"):
+            adam_step({"p": p}, state)
+    assert caught == []
+    assert state.step_count == 0 and not state.first_moment and not state.second_moment
+    np.testing.assert_array_equal(p.values, [1.0, 2.0])
+
+
+def test_an_overflow_in_a_later_parameter_leaves_earlier_ones_untouched():
+    p, q = T.parameter([1.0, -1.0]), T.parameter([3.0])
+    params = {"p": p, "q": q}
+    state = AdamState(learning_rate=0.1)
+    p.grad, q.grad = np.array([0.5, -2.0]), np.array([1.0])
+    adam_step(params, state)
+    before = _snapshot(params, state)
+    p.grad, q.grad = np.array([0.25, 4.0]), np.array([1e200])
+    with pytest.raises(NumericError, match=r"^non-finite Adam update for parameter 'q'; step aborted$"):
+        adam_step(params, state)
+    assert _snapshot(params, state) == before
+
+
+def test_learning_rate_made_infinite_after_construction_changes_nothing():
+    p = T.parameter([1.0, 2.0])
+    state = AdamState(learning_rate=0.1)
+    p.grad = np.array([0.5, -0.5])
+    adam_step({"p": p}, state)
+    before = _snapshot({"p": p}, state)
+    state.learning_rate = math.inf
+    with pytest.raises(NumericError, match=r"^non-finite Adam update for parameter 'p'; step aborted$"):
+        adam_step({"p": p}, state)
+    assert _snapshot({"p": p}, state) == before
+
+
+def test_a_wrong_shape_gradient_after_a_kept_step_changes_nothing():
+    p, q = T.parameter([1.0]), T.parameter([2.0, 3.0])
+    params = {"p": p, "q": q}
+    state = AdamState(learning_rate=0.1)
+    p.grad, q.grad = np.array([1.0]), np.array([1.0, -1.0])
+    adam_step(params, state)
+    before = _snapshot(params, state)
+    q.grad = np.ones(3)
+    with pytest.raises(ShapeError):
+        adam_step(params, state)
+    assert _snapshot(params, state) == before
+
+
+def test_moments_are_float64_for_a_float32_gradient():
+    p = T.parameter([1.0, 2.0])
+    p.grad = np.array([0.5, -0.5], dtype=np.float32)
+    state = AdamState()
+    adam_step({"p": p}, state)
+    assert state.first_moment["p"].dtype == state.second_moment["p"].dtype == np.float64
