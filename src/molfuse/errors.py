@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer reader behind
+several of their checks.
 
 Exit-code contract for the command line (``molfuse.cli``, not written yet):
 a :class:`NumericError` exits 1; every other :class:`MolfuseError`, a usage
 or data error, exits 2.
 """
+
+import operator
 
 
 class MolfuseError(Exception):
@@ -37,3 +40,11 @@ class SmilesError(MolfuseError, ValueError):
 
 class ValenceError(SmilesError):
     """Bond orders around an atom exceed every admissible valence."""
+
+
+def _integer(value) -> int | None:
+    """``operator.index(value)``, or ``None`` for a ``bool`` or a non-integer."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None

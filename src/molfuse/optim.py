@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +20,10 @@ EPSILON = 1e-8
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter.
 
-    Invariants: learning_rate is finite and >= 0 at construction; moment
-    arrays are finite and match their parameter shapes.  The decay rates and
-    epsilon are the module constants ``BETA1``, ``BETA2`` and ``EPSILON``.
+    Invariants: learning_rate is a finite real number >= 0 at construction
+    (a ``bool`` is not one); moment arrays are finite and match their
+    parameter shapes.  The decay rates and epsilon are the module constants
+    ``BETA1``, ``BETA2`` and ``EPSILON``.
     ``step_count`` counts the steps kept, so the first step uses t = 1.
     A step is kept whole or not at all: :func:`adam_step` replaces each
     stepped parameter's moment arrays with new ones, never editing an array
@@ -34,8 +36,11 @@ class AdamState:
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ParameterError(f"Adam learning_rate must be finite and non-negative, got {self.learning_rate}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr >= 0.0):
+            raise ParameterError(
+                f"Adam learning_rate must be finite and non-negative, got {lr!r} ({type(lr).__name__})"
+            )
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:

@@ -9,11 +9,10 @@ platforms.
 from __future__ import annotations
 
 import hashlib
-import operator
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
@@ -23,14 +22,14 @@ def stream(seed: int, name: str) -> np.random.Generator:
     and ``stream(7, "shuffle")`` never overlap.  The seed is read with
     ``operator.index``, so numpy integers give the same stream as the equal
     ``int``; a ``bool``, a negative or a non-integer seed raises
-    :class:`~molfuse.errors.ParameterError`.
+    :class:`~molfuse.errors.ParameterError`, and so does a name that is not
+    a ``str``.
     """
-    try:
-        value = None if isinstance(seed, bool) else operator.index(seed)
-    except TypeError:
-        value = None
+    value = _integer(seed)
     if value is None or value < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r} ({type(seed).__name__})")
+    if not isinstance(name, str):
+        raise ParameterError(f"stream name must be a str, got {name!r} ({type(name).__name__})")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "little")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([value, key])))

@@ -313,7 +313,13 @@ def _parse_bracket(s: str, start: int, end: int) -> RawAtom:
 
 
 def parse_smiles(s: str) -> ParsedMolecule:
-    """Parse a SMILES string into raw atoms and an undirected bond list."""
+    """Parse a SMILES string into raw atoms and an undirected bond list.
+
+    Anything but a ``str`` (``None``, a NaN read from a missing CSV cell,
+    ``bytes``) raises :class:`~molfuse.errors.SmilesError` at offset 0.
+    """
+    if not isinstance(s, str):
+        raise SmilesError(f"SMILES must be a str, got {type(s).__name__}", 0)
     if not s:
         raise SmilesError("empty SMILES string", 0)
     atoms: list[RawAtom] = []
@@ -446,8 +452,10 @@ def featurize(s: str) -> MolecularGraph:
 
     Results are memoized for the last 512 distinct strings, 3-4.5 KB per
     graph: a repeated string returns the same immutable graph, shared by
-    every caller.  A malformed string raises on every call and is not
-    remembered.  ``featurize.cache_clear()`` frees the memo and
+    every caller.  A malformed string, or an argument that is not a ``str``,
+    raises :class:`~molfuse.errors.SmilesError` on every call and is not
+    remembered; an unhashable argument (a list) raises ``TypeError`` from
+    the memo.  ``featurize.cache_clear()`` frees the memo and
     ``featurize.__wrapped__`` computes a graph afresh.
     """
     mol = parse_smiles(s)

@@ -176,7 +176,6 @@ import ctypes
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import sys
 from contextvars import ContextVar
@@ -184,7 +183,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import DataError, NumericError, ShapeError, _integer
 
 Array = np.ndarray
 BackwardRule = Callable[[Array], tuple]
@@ -442,14 +441,6 @@ def _quiet(f: Callable, *args):
     """``f(*args)`` ignoring overflow and invalid results, for an op whose bound exceeds ``_LIMIT`` (Conventions)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return f(*args)
-
-
-def _integer(value) -> int | None:
-    """``operator.index(value)``, or ``None`` for a ``bool`` or a non-integer (Conventions)."""
-    try:
-        return None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        return None
 
 
 # ---- tape and backward pass -------------------------------------------------

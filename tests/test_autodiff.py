@@ -181,7 +181,7 @@ class TestFiniteDifferenceSuite:
     @pytest.mark.parametrize("name", sorted(OP_CASES))
     def test_op_gradient(self, name):
         for seed in (0, 1):
-            err = check_case(name, n_points=10, seed=seed)
+            err = check_case(name, seed=seed)
             assert err < 1e-4, f"{name}, seed {seed}: max relative error {err:.3e}"
 
 
@@ -222,6 +222,32 @@ class TestCompositeGradients:
             T, "_accumulate", lambda leaf, grad: accumulate(leaf, grad * 1.001 if leaf is params[wrong] else grad)
         )
         assert max_relative_error(params, make_loss, n_points=0, rng=stream(24, "pts")) >= 1e-4
+
+    @pytest.mark.parametrize("n_points", [0, 10])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("wrong", ["w1", "w2"])
+    def test_a_non_finite_gradient_entry_fails_the_check(self, wrong, bad, n_points, monkeypatch):
+        rng = stream(23, "directions")
+        params = {"w1": T.parameter(rng.normal(size=(4, 6))), "w2": T.parameter(rng.normal(size=(6, 2)))}
+        x = T.constant(rng.normal(size=(3, 4)))
+
+        def make_loss():
+            return T.cross_entropy(T.matmul(T.gelu(T.matmul(x, params["w1"])), params["w2"]), np.array([0, 1, 0]))
+
+        accumulate = T._accumulate
+
+        def with_one_bad_entry(leaf, grad):
+            if leaf is params[wrong]:
+                grad = np.array(grad)
+                grad.flat[1] = bad
+            accumulate(leaf, grad)
+
+        monkeypatch.setattr(T, "_accumulate", with_one_bad_entry)
+        assert not np.isfinite(max_relative_error(params, make_loss, n_points=n_points, rng=stream(24, "pts")))
+
+    def test_all_empty_parameters_give_zero(self):
+        params = {"a": T.parameter(np.zeros((0, 2))), "b": T.parameter(np.zeros(0))}
+        assert max_relative_error(params, lambda: T.sum_all(params["a"]), n_points=10, rng=stream(26, "pts")) == 0.0
 
     def test_empty_parameter_is_checked_without_error(self):
         w, empty = T.parameter([1.0, -2.0, 0.5]), T.parameter(np.zeros((0, 2)))

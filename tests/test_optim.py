@@ -1,6 +1,7 @@
 """Adam update semantics, including a step-by-step manual trace oracle."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -97,6 +98,13 @@ def test_parameter_validation():
         with pytest.raises(ParameterError):
             AdamState(learning_rate=learning_rate)
     assert AdamState(learning_rate=0.0).learning_rate == 0.0
+
+
+@pytest.mark.parametrize("learning_rate", ["0.1", True], ids=["str", "bool"])
+def test_a_learning_rate_that_is_not_a_real_number_raises_parameter_error(learning_rate):
+    expected = f"got {learning_rate!r} ({type(learning_rate).__name__})"
+    with pytest.raises(ParameterError, match=re.escape(expected) + "$"):
+        AdamState(learning_rate=learning_rate)
 
 
 def test_moments_match_parameter_shapes():

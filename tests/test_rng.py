@@ -1,10 +1,16 @@
-"""Named seeded streams: which seeds are accepted, and that streams stay fixed."""
+"""Named seeded streams: which seeds and names are accepted, what importing
+the module loads, and that streams stay fixed."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import molfuse
 from molfuse.errors import ParameterError
 from molfuse.rng import stream
 
@@ -13,6 +19,29 @@ from molfuse.rng import stream
 def test_a_seed_that_is_not_a_non_negative_integer_raises_parameter_error(seed):
     with pytest.raises(ParameterError, match=rf"^seed must be a non-negative integer, got {seed!r} \("):
         stream(seed, "x")
+
+
+@pytest.mark.parametrize("name", [5, b"init"], ids=["int", "bytes"])
+def test_a_name_that_is_not_a_str_raises_parameter_error(name):
+    with pytest.raises(ParameterError, match=rf"^stream name must be a str, got {name!r} \({type(name).__name__}\)$"):
+        stream(1, name)
+
+
+def test_importing_rng_loads_neither_tensor_nor_scipy():
+    # molfuse.tensor's import changes glibc's malloc settings and loads scipy.
+    code = (
+        "import sys, molfuse.rng\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('molfuse', 'scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(molfuse.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['molfuse', 'molfuse.errors', 'molfuse.rng']"
 
 
 def test_numpy_integer_seeds_give_the_int_seeds_stream():

@@ -201,6 +201,21 @@ BRACKET_LIMIT_ERRORS = [
 
 
 class TestParserErrors:
+    @pytest.mark.parametrize(
+        "s, type_name",
+        [(None, "NoneType"), (float("nan"), "float"), (b"CC", "bytes"), (5, "int")],
+        ids=["none", "nan", "bytes", "int"],
+    )
+    def test_an_argument_that_is_not_a_str_raises_smiles_error(self, s, type_name):
+        with pytest.raises(SmilesError) as err:
+            featurize(s)
+        assert type(err.value) is SmilesError
+        assert str(err.value) == f"SMILES must be a str, got {type_name} (offset 0)"
+
+    def test_an_unhashable_argument_raises_type_error_from_the_memo(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            featurize(["C"])
+
     def test_negative_corpus_has_positioned_errors(self):
         rows = (FIXTURES / "invalid_smiles.tsv").read_text().strip().splitlines()
         assert len(rows) >= 12
@@ -239,6 +254,7 @@ class TestParserErrors:
         pinned = [message for _, message in NEGATIVE_CORPUS_ERRORS.values()]
         pinned += [message for _, message, _ in BRACKET_LIMIT_ERRORS]
         pinned.append("empty SMILES string")  # test_empty_string
+        pinned.append("SMILES must be a str, got NoneType")  # test_an_argument_that_is_not_a_str_raises_smiles_error
         tree = ast.parse(Path(molfuse.smiles.__file__).read_text())
         raises = [
             node.exc for node in ast.walk(tree)
