@@ -1,11 +1,13 @@
-"""Exception types shared across the package, and the integer reader behind
-several of their checks.
+"""Exception types shared across the package, and the integer and real
+readers behind several of their checks.
 
 Exit-code contract for the command line (``molfuse.cli``, not written yet):
 a :class:`NumericError` exits 1; every other :class:`MolfuseError`, a usage
 or data error, exits 2.
 """
 
+import math
+import numbers
 import operator
 
 
@@ -48,3 +50,16 @@ def _integer(value) -> int | None:
         return None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         return None
+
+
+def _real(value) -> float | None:
+    """``float(value)``, or ``None`` for a ``bool`` or a non-``numbers.Real``.
+
+    A real beyond the float range, such as ``10**400``, reads as +-inf.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

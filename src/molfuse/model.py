@@ -95,17 +95,35 @@ def encode_atoms(features: np.ndarray) -> np.ndarray:
 
 
 def collate(graphs: list[MolecularGraph]) -> Batch:
-    """Batch featurized molecules into one graph plus character tokens, with no numpy call per molecule."""
+    """Batch featurized molecules into one graph plus character tokens.
+
+    Beyond reading each features matrix's shape, it makes no numpy call per
+    molecule.  It checks the graphs first: every molecule has atoms, an
+    (atoms, 9) features matrix and bonds (i, j) with 0 <= i < j < atoms,
+    else :class:`~molfuse.errors.DataError` names the first molecule that
+    fails.
+    """
     if not graphs:
         raise DataError("collate needs at least one molecule, got an empty batch")
     sizes = [g.num_atoms for g in graphs]
     if 0 in sizes:
         raise DataError(f"collate needs atoms in every molecule, molecule {sizes.index(0)} has none")
+    shapes = [np.shape(g.features) for g in graphs]
+    wrong = [k for k, shape in enumerate(shapes) if shape[1:] != (len(_FEATURE_SIZES),)]
+    if wrong:
+        k = wrong[0]
+        raise DataError(f"collate needs an (atoms, 9) features matrix, molecule {k} has shape {shapes[k]}")
     atom_sizes = np.array(sizes)
     tok_sizes = np.array([min(len(g.source_smiles), MAX_TOKENS) for g in graphs])
-    atom_start = (np.cumsum(atom_sizes) - atom_sizes).tolist()
-    bonds = [(i + off, j + off) for g, off in zip(graphs, atom_start) for i, j, _ in g.bonds]
-    src, dst = np.array(bonds, dtype=np.intp).reshape(-1, 2).T
+    # One (molecule, i, j) row per bond, checked and offset over the whole batch.
+    bonds = np.array([(k, i, j) for k, g in enumerate(graphs) for i, j, _ in g.bonds], dtype=np.intp).reshape(-1, 3)
+    mol, i, j = bonds.T
+    bad = np.flatnonzero((i < 0) | (i >= j) | (j >= atom_sizes[mol]))
+    if len(bad):
+        k, a, b = bonds[bad[0]].tolist()
+        raise DataError(f"collate needs bonds (i, j) with 0 <= i < j < atoms, molecule {k} has ({a}, {b})")
+    atom_start = np.cumsum(atom_sizes) - atom_sizes
+    src, dst = i + atom_start[mol], j + atom_start[mol]
     loops = np.arange(sum(sizes))
     chars = "".join(g.source_smiles[:MAX_TOKENS] for g in graphs)
     codes = np.frombuffer(chars.encode("ascii", "replace"), dtype=np.uint8)

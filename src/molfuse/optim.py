@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError, _real
 from .tensor import Tensor, _all_finite
 
 BETA1 = 0.9
@@ -18,47 +17,48 @@ EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter.
+    """The learning rate, per-parameter first/second moments and the step counter.
 
-    Invariants: learning_rate is a finite real number >= 0 at construction
-    (a ``bool`` is not one); moment arrays are finite and match their
-    parameter shapes.  The decay rates and epsilon are the module constants
-    ``BETA1``, ``BETA2`` and ``EPSILON``.
-    ``step_count`` counts the steps kept, so the first step uses t = 1.
-    A step is kept whole or not at all: :func:`adam_step` replaces each
-    stepped parameter's moment arrays with new ones, never editing an array
-    in place, and changes nothing when it raises.
+    ``learning_rate`` is the one option.  Each assignment of it, the
+    constructor's included, reads it with ``_real``; a value that is not a
+    finite real number >= 0 (a ``bool`` is not one) raises
+    :class:`~molfuse.errors.ParameterError`, and the old rate stays.  Only
+    :func:`adam_step` writes the other fields: finite moment arrays of their
+    parameters' shapes, each replaced whole, and ``step_count``, the steps
+    kept, so the first step uses t = 1.
     """
 
     learning_rate: float = 1e-4
-    step_count: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    first_moment: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    second_moment: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
-    def __post_init__(self):
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr >= 0.0):
-            raise ParameterError(
-                f"Adam learning_rate must be finite and non-negative, got {lr!r} ({type(lr).__name__})"
-            )
+    def __setattr__(self, name, value):
+        if name == "learning_rate":
+            lr = _real(value)
+            if lr is None or not 0.0 <= lr < math.inf:
+                raise ParameterError(
+                    f"Adam learning_rate must be finite and non-negative, got {value!r} ({type(value).__name__})"
+                )
+            value = lr
+        object.__setattr__(self, name, value)
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One bias-corrected Adam update, reading gradients from ``param.grad``.
 
-    Parameters without a populated gradient are skipped.  The step is kept
-    whole or not at all.  It first computes every new moment and value out
-    of place, ignoring overflow and invalid results; a missing moment counts
-    as a float64 0, so moments are float64 whatever the gradient's dtype.
-    Then it requires all of them to be finite, which catches a non-finite
-    gradient, a square that overflows (a gradient above about 1e154) and a
-    non-finite ``learning_rate`` alike.  It reads the second moments and the
+    Parameters without a populated gradient are skipped.  It first computes
+    every new moment and value out of place, ignoring overflow and invalid
+    results; a missing moment counts as a float64 0, so moments are float64
+    whatever the gradient's dtype.  Then it requires all of them to be
+    finite, which catches a non-finite gradient and a square that overflows
+    (a gradient above about 1e154).  It reads the second moments and the
     values only: where a second moment is finite, a non-finite first moment
-    makes its value non-finite (``0·inf`` is NaN, so even at a zero
-    ``learning_rate``).  Only then does it replace the moments with the new
-    arrays, reassign the values and advance ``step_count``.  A
-    ``ShapeError`` or ``NumericError`` leaves ``state`` and every parameter
-    as they were.
+    makes its value non-finite (``0·inf`` is NaN, even at a zero
+    ``learning_rate``).  Only then does it replace the moments, reassign the
+    values and advance ``step_count``.  So the step is kept whole or not at
+    all: a ``ShapeError`` or ``NumericError`` leaves ``state`` and every
+    parameter as they were.
     """
     t = state.step_count + 1
     bias1, bias2 = 1.0 - BETA1**t, 1.0 - BETA2**t

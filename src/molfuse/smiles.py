@@ -194,8 +194,9 @@ class MolecularGraph:
 
     ``features`` is the stored (atoms, 9) float64 matrix the graph branch
     reads, one row per atom in :class:`AtomFeatures` field order; ``atoms``
-    is its row view as records.  A graph is an immutable value, compared by
-    value and not hashable: ``featurize`` hands one graph to every caller of
+    is its row view as records.  A graph is an immutable value, not
+    hashable, and equal to another when its features (``np.array_equal``),
+    bonds and string are: ``featurize`` hands one graph to every caller of
     a string.
     """
 
@@ -215,13 +216,17 @@ class MolecularGraph:
         """The rows of ``features`` as records: enums as their members, flags as bools."""
         return [
             AtomFeatures(z, Chirality(c), deg, q, hs, rad, Hybridization(hyb), bool(ar), bool(ring))
-            for z, c, deg, q, hs, rad, hyb, ar, ring in self.feature_matrix().astype(int).tolist()
+            for z, c, deg, q, hs, rad, hyb, ar, ring in np.asarray(self.features, dtype=int).tolist()
         ]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.atoms, self.bonds, self.source_smiles) == (other.atoms, other.bonds, other.source_smiles)
+        return (
+            np.array_equal(self.features, other.features)
+            and self.bonds == other.bonds
+            and self.source_smiles == other.source_smiles
+        )
 
     def bond_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, _ in self.bonds]

@@ -18,12 +18,15 @@ Conventions:
 
   - Assigning ``values`` is the one path for ``Tensor(...)``,
     ``constant``, ``parameter``, ``adam_step``, ``load_into`` and callers.
-    It stores a fresh float64 copy after the exact check
-    (``_checked_norm``): the root of the sum of squares, one ``vdot``
-    (``_norm``), is the bound.  NaN and +-inf propagate into it, so a
-    finite sum proves every entry finite; one that overflows (entries
-    beyond about 1e154) falls back to the elementwise ``isfinite`` test
-    and leaves an inf bound, so the next op checks its output.  A
+    Tensor values are real: an array whose dtype is not boolean, integer
+    or floating (strings, objects such as ``None``, complex numbers) raises
+    :class:`~molfuse.errors.DataError` naming the dtype, and the tensor
+    keeps its old values.  Otherwise it stores a fresh float64 copy after
+    the exact check (``_checked_norm``): the root of the sum of squares,
+    one ``vdot`` (``_norm``), is the bound.  NaN and +-inf propagate into
+    it, so a finite sum proves every entry finite; one that overflows
+    (entries beyond about 1e154) falls back to the elementwise ``isfinite``
+    test and leaves an inf bound, so the next op checks its output.  A
     non-finite array raises :class:`~molfuse.errors.NumericError`, and the
     tensor keeps its old values.
   - An op result is proven finite from its inputs' bounds B, at O(1) cost
@@ -57,6 +60,11 @@ Conventions:
     inside the factor of 1.8e8 between the limit and the largest double.
     So exactly the same arrays pass and fail as with an exact check of
     every result, and the error names the same op.
+  - ``scale`` reads its factor with ``_real``, as ``AdamState`` reads its
+    learning rate: a ``bool`` or a value that is not a real number raises
+    :class:`~molfuse.errors.ParameterError`.  A NaN or infinite factor
+    gives an infinite bound, so ``_make`` checks the result and raises
+    ``NumericError``.
   - No bound is below ``_FLOOR`` (1.5e-154): ``_norm`` and ``_make`` raise
     a smaller one to it.  Its square exceeds the smallest normal double, so
     a sum of squares that underflows (entries below about 1e-162 give 0)
@@ -183,7 +191,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError, _integer
+from .errors import DataError, NumericError, ParameterError, ShapeError, _integer, _real
 
 Array = np.ndarray
 BackwardRule = Callable[[Array], tuple]
@@ -317,7 +325,10 @@ class Tensor:
 
     @values.setter
     def values(self, values) -> None:
-        arr = np.array(values, dtype=np.float64)
+        arr = np.array(values)
+        if arr.dtype.kind not in "biuf":
+            raise DataError(f"tensor values must be real numbers, got an array of dtype {arr.dtype}")
+        arr = arr.astype(np.float64, copy=False)
         bound = _checked_norm(arr, "assigned to a tensor")
         arr.setflags(False)
         self._values, self._max = arr, bound
@@ -583,7 +594,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
-    f = float(factor)
+    f = _real(factor)
+    if f is None:
+        raise ParameterError(f"scale factor must be a real number, got {factor!r} ({type(factor).__name__})")
     bound = abs(f) * a._max
     out = a.values * f if bound <= _LIMIT else _quiet(np.multiply, a.values, f)
     rule = (lambda g: (g * f,)) if _recording(a) else None

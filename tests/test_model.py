@@ -7,6 +7,7 @@ cannot separate two molecules that 1-WL colour refinement leaves equal,
 while the whole model can.
 """
 
+import re
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -25,7 +26,7 @@ from molfuse import tensor as T  # noqa: E402
 from molfuse.errors import DataError  # noqa: E402
 from molfuse.gradcheck import max_relative_error  # noqa: E402
 from molfuse.rng import stream  # noqa: E402
-from molfuse.smiles import MolecularGraph, featurize  # noqa: E402
+from molfuse.smiles import BondOrder, MolecularGraph, featurize  # noqa: E402
 
 # The molecules of a train_b32 step and the benchmark's screening check batch
 # (its generator streams, size ranges and malformed rates).
@@ -131,6 +132,28 @@ def test_empty_batch_raises_data_error():
 def test_atomless_molecule_raises_data_error_naming_its_position(atomless):
     graphs = [featurize("CCO"), atomless, featurize("C")]
     with pytest.raises(DataError, match=r"^collate needs atoms in every molecule, molecule 1 has none$"):
+        model.collate(graphs)
+
+
+@pytest.mark.parametrize(
+    "bond", [(0, 1), (1, 0), (0, 0), (-1, 0)], ids=["past-the-last-atom", "reversed", "self-loop", "negative"]
+)
+def test_a_bond_outside_its_molecule_raises_data_error_naming_its_position(bond):
+    # Unchecked, the carbon's bond (0, 1) reaches the next molecule's oxygen.
+    carbon = featurize("C")
+    graphs = [featurize("CC"), MolecularGraph(carbon.features, [(*bond, BondOrder.SINGLE)], "C"), featurize("O")]
+    expected = f"collate needs bonds (i, j) with 0 <= i < j < atoms, molecule 1 has {bond}"
+    with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+        model.collate(graphs)
+
+
+@pytest.mark.parametrize(
+    "features", [np.zeros((2, 8)), np.zeros((2, 10)), np.zeros(2)], ids=["8-wide", "10-wide", "1-D"]
+)
+def test_a_features_matrix_of_the_wrong_shape_raises_data_error_naming_its_position(features):
+    graphs = [featurize("CCO"), featurize("C"), MolecularGraph(features, [], "CC")]
+    expected = f"collate needs an (atoms, 9) features matrix, molecule 2 has shape {features.shape}"
+    with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
         model.collate(graphs)
 
 

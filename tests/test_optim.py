@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,10 +164,46 @@ def test_learning_rate_made_infinite_after_construction_changes_nothing():
     p.grad = np.array([0.5, -0.5])
     adam_step({"p": p}, state)
     before = _snapshot({"p": p}, state)
-    state.learning_rate = math.inf
-    with pytest.raises(NumericError, match=r"^non-finite Adam update for parameter 'p'; step aborted$"):
-        adam_step({"p": p}, state)
+    expected = r"^Adam learning_rate must be finite and non-negative, got inf \(float\)$"
+    with pytest.raises(ParameterError, match=expected):
+        state.learning_rate = math.inf
+    assert state.learning_rate == 0.1
     assert _snapshot({"p": p}, state) == before
+
+
+@pytest.mark.parametrize("bad", [-1.0, "0.1", True, math.nan, math.inf], ids=["negative", "str", "bool", "nan", "inf"])
+def test_a_reassigned_learning_rate_is_checked_and_the_old_one_stays(bad):
+    # Unchecked, -1.0 steps uphill: p = [1.0] with gradient [1.0] moves to 2.0.
+    params, twin_params = {"p": T.parameter([1.0])}, {"p": T.parameter([1.0])}
+    state, twin = AdamState(learning_rate=0.5), AdamState(learning_rate=0.5)
+    before = _snapshot(params, state)
+    expected = f"Adam learning_rate must be finite and non-negative, got {bad!r} ({type(bad).__name__})"
+    with pytest.raises(ParameterError, match=f"^{re.escape(expected)}$"):
+        state.learning_rate = bad
+    assert state.learning_rate == 0.5
+    assert _snapshot(params, state) == before
+    for ps, st in ((params, state), (twin_params, twin)):
+        ps["p"].grad = np.array([1.0])
+        adam_step(ps, st)
+    assert _snapshot(params, state) == _snapshot(twin_params, twin)
+    np.testing.assert_allclose(params["p"].values, [0.5])  # downhill by the kept rate
+
+
+@pytest.mark.parametrize("name", ["step_count", "first_moment", "second_moment"])
+def test_learning_rate_is_the_only_constructor_option(name):
+    with pytest.raises(TypeError):
+        AdamState(**{name: 1 if name == "step_count" else {"p": np.zeros(1)}})
+
+
+def test_a_learning_rate_beyond_the_float_range_raises_parameter_error():
+    with pytest.raises(ParameterError, match=r"got 1000*0 \(int\)$"):
+        AdamState(learning_rate=10**400)
+
+
+def test_a_learning_rate_is_kept_as_the_float_of_its_value():
+    state = AdamState(learning_rate=np.float32(0.5))
+    state.learning_rate = Fraction(1, 4)
+    assert type(state.learning_rate) is float and state.learning_rate == 0.25
 
 
 def test_a_wrong_shape_gradient_after_a_kept_step_changes_nothing():

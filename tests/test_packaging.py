@@ -3,6 +3,7 @@ floors, every public name has a user, and the pytest settings report every
 failure."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.metadata
 import inspect
@@ -113,6 +114,35 @@ def test_every_public_name_has_a_user():
             if public and obj.__module__ == module.__name__ and name not in used and qualname not in exempt:
                 unused.append(qualname)
     assert not unused, f"no package or benchmark code uses {unused}"
+
+
+def test_every_dataclass_option_has_a_caller():
+    # A field that a molfuse dataclass's constructor takes is kept only while
+    # package or benchmark code passes it.  Positional arguments fill the
+    # leading fields and keywords count by name; a call is matched by the
+    # class's name, as ``AdamState(...)`` or ``model.Batch(...)``.
+    package = Path(molfuse.__file__).parent
+    sources = sorted(package.glob("*.py")) + [
+        p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")
+    ]
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                calls.setdefault(getattr(node.func, "id", None) or getattr(node.func, "attr", None), []).append(node)
+    unpassed = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module("molfuse" if path.stem == "__init__" else f"molfuse.{path.stem}")
+        for name, obj in vars(module).items():
+            if not (inspect.isclass(obj) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__):
+                continue
+            fields = [f.name for f in dataclasses.fields(obj) if f.init]
+            passed = set()
+            for call in calls.get(name, []):
+                leading = next((k for k, a in enumerate(call.args) if isinstance(a, ast.Starred)), len(call.args))
+                passed.update(fields[:leading], (kw.arg for kw in call.keywords))
+            unpassed += [f"{module.__name__}.{name}.{field}" for field in fields if field not in passed]
+    assert not unpassed, f"no package or benchmark call passes {unpassed}"
 
 
 def test_fresh_import_loads_only_two_compiled_scipy_modules():

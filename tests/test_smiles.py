@@ -494,6 +494,18 @@ class TestFeaturize:
         # Bonds given as a list are stored as a tuple and compare equal.
         assert MolecularGraph(graph.features, list(graph.bonds), graph.source_smiles) == graph
 
+    def test_graph_equality_compares_the_stored_features(self):
+        graph = featurize("CC(=O)O")
+        # A chirality code outside its enum compares without building records.
+        odd = graph.features.copy()
+        odd[0, 1] = 9
+        assert MolecularGraph(odd, graph.bonds, graph.source_smiles) != graph
+        assert MolecularGraph(odd, graph.bonds, "CC(=O)O") == MolecularGraph(odd.copy(), graph.bonds, "CC(=O)O")
+        # A fractional entry is not truncated to the integer it would read as.
+        half = graph.features.copy()
+        half[0, 2] += 0.5
+        assert MolecularGraph(half, graph.bonds, graph.source_smiles) != graph
+
     def test_graph_is_immutable(self):
         graph = featurize("CC(=O)O")
         with pytest.raises(ValueError):

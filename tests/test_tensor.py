@@ -3,8 +3,10 @@
 import importlib.util
 import math
 import platform
+import re
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from molfuse import tensor as T
-from molfuse.errors import DataError, MolfuseError, NumericError, ShapeError
+from molfuse.errors import DataError, MolfuseError, NumericError, ParameterError, ShapeError
 from molfuse.gradcheck import OP_CASES
 from molfuse.optim import AdamState, adam_step
 from molfuse.rng import stream
@@ -297,6 +299,39 @@ class TestConstruction:
             leaf.values = [1.0, bad]
         assert leaf.values is before and leaf._max >= 2.0
 
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            (None, "object"),
+            ("abc", "<U3"),
+            ("1.5", "<U3"),
+            (["1", "2"], "<U1"),
+            (np.array([1 + 2j]), "complex128"),
+            (np.array([1.0, 2.0], dtype=object), "object"),
+        ],
+        ids=["none", "word", "numeral", "numerals", "complex", "object"],
+    )
+    def test_values_that_are_not_real_numbers_raise_data_error(self, values, dtype):
+        expected = f"^tensor values must be real numbers, got an array of dtype {re.escape(dtype)}$"
+        for make in (T.constant, T.parameter):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match=expected):
+                    make(values)
+        leaf = T.parameter([1.0, 2.0])
+        before = leaf.values
+        with pytest.raises(DataError, match=expected):
+            leaf.values = values
+        assert leaf.values is before and leaf._max >= 2.0
+
+    @pytest.mark.parametrize(
+        "values", [[True, False], np.array([3, 250], dtype=np.uint8), np.array([-2, 7], dtype=np.int32), 4.5]
+    )
+    def test_boolean_integer_and_floating_values_are_read_as_float64(self, values):
+        leaf = T.constant(values)
+        assert leaf.values.dtype == np.float64
+        np.testing.assert_array_equal(leaf.values, np.asarray(values, dtype=np.float64))
+
     @pytest.mark.parametrize("magnitude", [1e155, 1e200, 1.7e308])
     def test_huge_finite_accepted(self, magnitude):
         # The sum of squares overflows here; the exact fallback must still accept.
@@ -338,6 +373,24 @@ class TestOperators:
         a, b = T.constant(np.ones((3, 4))), T.constant(np.ones(4))
         with pytest.raises(TypeError):
             form(a, b)
+
+    @pytest.mark.parametrize(
+        "factor", ["2", None, True, np.array(2.0), 1 + 0j], ids=["str", "none", "bool", "array", "complex"]
+    )
+    def test_scale_factor_that_is_not_a_real_number_raises_parameter_error(self, factor):
+        expected = f"scale factor must be a real number, got {factor!r} ({type(factor).__name__})"
+        with pytest.raises(ParameterError, match=f"^{re.escape(expected)}$"):
+            T.scale(T.parameter([1.0, 2.0]), factor)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 10**400], ids=["nan", "inf", "beyond-float"])
+    def test_scale_factor_that_is_not_finite_raises_numeric_error(self, factor):
+        with pytest.raises(NumericError, match=r"^non-finite values produced by scale$"):
+            T.scale(T.parameter([1.0, 2.0]), factor)
+
+    def test_scale_reads_any_real_factor_as_its_float(self):
+        x = T.constant([1.0, -3.0])
+        for factor in (Fraction(1, 3), np.float32(0.5), np.int64(-2)):
+            assert T.scale(x, factor).values.tobytes() == T.scale(x, float(factor)).values.tobytes()
 
     def test_repr_names_shape_flag_and_op(self):
         p = T.parameter(np.ones((2, 3)))
