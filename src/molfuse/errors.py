@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the integer and real
-readers behind several of their checks.
+"""Exception types shared across the package, and the integer, real and
+array readers behind several of their checks.  ``_array`` is the one reader
+of caller arrays: tensor values, index arguments and ``model.collate``'s
+features and bonds.
 
 Exit-code contract for the command line (``molfuse.cli``, not written yet):
 a :class:`NumericError` exits 1; every other :class:`MolfuseError`, a usage
@@ -9,6 +11,8 @@ or data error, exits 2.
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class MolfuseError(Exception):
@@ -63,3 +67,17 @@ def _real(value) -> float | None:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _array(values, name: str, kinds: str) -> np.ndarray:
+    """``np.asarray(values)``, else :class:`DataError` naming ``name``: for
+    ragged nesting, with numpy's reason, or for a non-empty array whose
+    dtype kind is not in ``kinds`` (``"biuf"`` or ``"iu"``)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as e:
+        raise DataError(f"{name} must be a rectangular array: {e}") from None
+    if arr.size and arr.dtype.kind not in kinds:
+        what = "real numbers" if "f" in kinds else "integers"
+        raise DataError(f"{name} must be {what}, got an array of dtype {arr.dtype}")
+    return arr

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError
+from .errors import DataError, _array
 from .smiles import MolecularGraph
 from .tensor import Tensor
 
@@ -97,34 +97,44 @@ def encode_atoms(features: np.ndarray) -> np.ndarray:
 def collate(graphs: list[MolecularGraph]) -> Batch:
     """Batch featurized molecules into one graph plus character tokens.
 
-    Beyond reading each features matrix's shape, it makes no numpy call per
-    molecule.  It checks the graphs first: every molecule has atoms, an
-    (atoms, 9) features matrix and bonds (i, j) with 0 <= i < j < atoms,
-    else :class:`~molfuse.errors.DataError` names the first molecule that
-    fails.
+    Beyond reading each features matrix, it makes no numpy call per
+    molecule.  It checks the batch first, reading features and bonds with
+    ``errors._array``: every molecule has atoms, an (atoms, 9) real
+    features matrix, a ``str`` SMILES and bonds of three integers (i, j,
+    order) with 0 <= i < j < atoms, each pair listed once, else
+    :class:`~molfuse.errors.DataError` names the first molecule that fails.
     """
     if not graphs:
         raise DataError("collate needs at least one molecule, got an empty batch")
-    sizes = [g.num_atoms for g in graphs]
-    if 0 in sizes:
-        raise DataError(f"collate needs atoms in every molecule, molecule {sizes.index(0)} has none")
-    shapes = [np.shape(g.features) for g in graphs]
-    wrong = [k for k, shape in enumerate(shapes) if shape[1:] != (len(_FEATURE_SIZES),)]
-    if wrong:
-        k = wrong[0]
-        raise DataError(f"collate needs an (atoms, 9) features matrix, molecule {k} has shape {shapes[k]}")
-    atom_sizes = np.array(sizes)
+    features = [_array(g.features, f"collate features of molecule {k}", "biuf") for k, g in enumerate(graphs)]
+    for k, (g, shape) in enumerate(zip(graphs, (f.shape for f in features))):
+        if shape[:1] == (0,):
+            raise DataError(f"collate needs atoms in every molecule, molecule {k} has none")
+        if shape[1:] != (len(_FEATURE_SIZES),):
+            raise DataError(f"collate needs an (atoms, 9) features matrix, molecule {k} has shape {shape}")
+        if not isinstance(g.source_smiles, str):
+            raise DataError(f"collate needs a str SMILES in every molecule, molecule {k} has {g.source_smiles!r}")
+    atom_sizes = np.array([len(f) for f in features])
     tok_sizes = np.array([min(len(g.source_smiles), MAX_TOKENS) for g in graphs])
-    # One (molecule, i, j) row per bond, checked and offset over the whole batch.
-    bonds = np.array([(k, i, j) for k, g in enumerate(graphs) for i, j, _ in g.bonds], dtype=np.intp).reshape(-1, 3)
-    mol, i, j = bonds.T
+    # One (i, j, order) row per bond and its molecule, checked and offset over the whole batch.
+    bonds = _array([bond for g in graphs for bond in g.bonds], "collate bonds", "iu")
+    if len(bonds) and bonds.shape[1:] != (3,):
+        raise DataError(f"collate bonds must be (i, j, order) triples, got an array of shape {bonds.shape}")
+    mol = np.repeat(np.arange(len(graphs)), [len(g.bonds) for g in graphs])
+    i, j, _ = bonds.reshape(-1, 3).astype(np.intp, copy=False).T
     bad = np.flatnonzero((i < 0) | (i >= j) | (j >= atom_sizes[mol]))
     if len(bad):
-        k, a, b = bonds[bad[0]].tolist()
-        raise DataError(f"collate needs bonds (i, j) with 0 <= i < j < atoms, molecule {k} has ({a}, {b})")
+        n = bad[0]
+        raise DataError(f"collate needs bonds (i, j) with 0 <= i < j < atoms, molecule {mol[n]} has ({i[n]}, {j[n]})")
     atom_start = np.cumsum(atom_sizes) - atom_sizes
     src, dst = i + atom_start[mol], j + atom_start[mol]
-    loops = np.arange(sum(sizes))
+    loops = np.arange(atom_sizes.sum())
+    key = src * len(loops) + dst
+    order = np.argsort(key, kind="stable")
+    again = order[1:][key[order[1:]] == key[order[:-1]]]  # each listing after a pair's first
+    if len(again):
+        n = again.min()
+        raise DataError(f"collate needs each bond listed once, molecule {mol[n]} lists ({i[n]}, {j[n]}) more than once")
     chars = "".join(g.source_smiles[:MAX_TOKENS] for g in graphs)
     codes = np.frombuffer(chars.encode("ascii", "replace"), dtype=np.uint8)
     tok_start = np.cumsum(tok_sizes) - tok_sizes
@@ -135,7 +145,7 @@ def collate(graphs: list[MolecularGraph]) -> Batch:
     tt_q, tt_k = _pairs(tok_start[tok_mol] + lo, hi - lo + 1)
     return Batch(
         num_mols=len(graphs),
-        atom_x=encode_atoms(np.concatenate([g.features for g in graphs])),
+        atom_x=encode_atoms(np.concatenate(features)),
         atom_mol=np.repeat(np.arange(len(graphs)), atom_sizes),
         edge_src=np.concatenate([src, dst, loops]),
         edge_dst=np.concatenate([dst, src, loops]),

@@ -18,17 +18,18 @@ Conventions:
 
   - Assigning ``values`` is the one path for ``Tensor(...)``,
     ``constant``, ``parameter``, ``adam_step``, ``load_into`` and callers.
-    Tensor values are real: an array whose dtype is not boolean, integer
-    or floating (strings, objects such as ``None``, complex numbers) raises
-    :class:`~molfuse.errors.DataError` naming the dtype, and the tensor
-    keeps its old values.  Otherwise it stores a fresh float64 copy after
-    the exact check (``_checked_norm``): the root of the sum of squares,
-    one ``vdot`` (``_norm``), is the bound.  NaN and +-inf propagate into
-    it, so a finite sum proves every entry finite; one that overflows
-    (entries beyond about 1e154) falls back to the elementwise ``isfinite``
-    test and leaves an inf bound, so the next op checks its output.  A
-    non-finite array raises :class:`~molfuse.errors.NumericError`, and the
-    tensor keeps its old values.
+    Tensor values are real, read by ``errors._array``: ragged nesting or
+    a non-empty array whose dtype is not boolean, integer or floating
+    (strings, bytes, ``None``, complex numbers) raises
+    :class:`~molfuse.errors.DataError`, and the tensor keeps its old
+    values.  Otherwise it stores a fresh float64 copy after the exact check
+    (``_checked_norm``): the root of the sum of squares, one ``vdot``
+    (``_norm``), is the bound.  NaN and +-inf propagate into it, so a
+    finite sum proves every entry finite; one that overflows (entries
+    beyond about 1e154) falls back to the elementwise ``isfinite`` test and
+    leaves an inf bound, so the next op checks its output.  A non-finite
+    array raises :class:`~molfuse.errors.NumericError`, and the tensor
+    keeps its old values.
   - An op result is proven finite from its inputs' bounds B, at O(1) cost
     and without reading it.  Each op bounds its result by: ``add``
     B(a)+B(b); ``mul`` B(a)·B(b); ``scale`` |f|·B(a); ``matmul`` K·B(a)·B(b)
@@ -134,7 +135,8 @@ Conventions:
 * Subgradients at kinks (leaky_relu, elu) take the right-hand value, so
   the derivative at exactly 0 is the positive-side one.
 * Index arguments (``gather_rows`` indices, segment ids, ``cross_entropy``
-  labels) pass one check, ``_ids``, in this order: an integer dtype, else
+  labels) pass one check, ``_ids``, in this order: ``errors._array``
+  reads them, not ragged and of an integer dtype, else
   :class:`~molfuse.errors.DataError` (a float or boolean array is not
   truncated or read as 0/1; empty input of any dtype passes, since ``[]``
   is float64); 1-D, with one entry per row for segment ids and labels,
@@ -191,7 +193,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DataError, NumericError, ParameterError, ShapeError, _integer, _real
+from .errors import DataError, NumericError, ParameterError, ShapeError, _array, _integer, _real
 
 Array = np.ndarray
 BackwardRule = Callable[[Array], tuple]
@@ -325,10 +327,7 @@ class Tensor:
 
     @values.setter
     def values(self, values) -> None:
-        arr = np.array(values)
-        if arr.dtype.kind not in "biuf":
-            raise DataError(f"tensor values must be real numbers, got an array of dtype {arr.dtype}")
-        arr = arr.astype(np.float64, copy=False)
+        arr = _array(values, "tensor values", "biuf").astype(np.float64)
         bound = _checked_norm(arr, "assigned to a tensor")
         arr.setflags(False)
         self._values, self._max = arr, bound
@@ -643,17 +642,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _ids(values, name: str, count: int, rows: int | None = None) -> Array:
     """A private ``intp`` copy of ``values``, checked as an index array
-    (module docstring): integer dtype, 1-D with ``rows`` entries when
-    given, ids in [0, count).
+    (module docstring): read by ``_array`` as integers, 1-D with ``rows``
+    entries when given, ids in [0, count).
 
     Read as unsigned (``uintp``), a negative id exceeds any count, so one
     ``max`` finds ids below 0 and at or above ``count`` alike.  The op and
     its backward rule read the copy, so a caller editing its own array
     cannot reach either.
     """
-    arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise DataError(f"{name} must have an integer dtype, got {arr.dtype}")
+    arr = _array(values, name, "iu")
     if arr.ndim != 1 or rows is not None and arr.shape[0] != rows:
         want = "1-D" if rows is None else f"1-D with {rows} entries"
         raise ShapeError(f"{name} must be {want}, got shape {arr.shape}")

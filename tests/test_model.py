@@ -157,6 +157,60 @@ def test_a_features_matrix_of_the_wrong_shape_raises_data_error_naming_its_posit
         model.collate(graphs)
 
 
+SINGLE, DOUBLE = BondOrder.SINGLE, BondOrder.DOUBLE
+
+
+@pytest.mark.parametrize(
+    "bonds, expected",
+    [
+        ([(0.7, 1.2, SINGLE)], "collate bonds must be integers, got an array of dtype float64"),
+        ([("0", "1", SINGLE)], "collate bonds must be integers, got an array of dtype <U21"),
+        ([(0, 1, SINGLE), (0, 1, SINGLE)], "collate needs each bond listed once, molecule 1 lists (0, 1) more than once"),
+        ([(0, 1, SINGLE), (0, 1, DOUBLE)], "collate needs each bond listed once, molecule 1 lists (0, 1) more than once"),
+    ],
+    ids=["float", "string", "duplicate", "duplicate-other-order"],
+)
+def test_a_malformed_bond_raises_data_error(bonds, expected):
+    # Unchecked, the float bond was truncated to (0, 1), the string one parsed,
+    # and the duplicate exchanged two messages over one pair.
+    ethane = featurize("CC")
+    graphs = [featurize("CCO"), MolecularGraph(ethane.features, bonds, "CC"), featurize("O")]
+    with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+        model.collate(graphs)
+
+
+def test_a_bond_listed_again_later_in_its_molecule_raises_data_error():
+    propane = featurize("CCC")
+    bonds = [(0, 1, SINGLE), (1, 2, SINGLE), (0, 1, SINGLE)]
+    expected = "collate needs each bond listed once, molecule 2 lists (0, 1) more than once"
+    with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+        model.collate([propane, propane, MolecularGraph(propane.features, bonds, "CCC")])
+
+
+def test_a_two_field_bond_raises_data_error():
+    ethane = featurize("CC")
+    alone = [MolecularGraph(ethane.features, [(0, 1)], "CC")]
+    expected = "collate bonds must be (i, j, order) triples, got an array of shape (1, 2)"
+    with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+        model.collate(alone)
+    # Beside three-field bonds, the nesting is ragged.
+    with pytest.raises(DataError, match=r"^collate bonds must be a rectangular array: "):
+        model.collate([ethane, *alone])
+
+
+def test_a_smiles_that_is_not_a_str_raises_data_error_naming_its_position():
+    ethane = featurize("CC")
+    graphs = [ethane, ethane, MolecularGraph(ethane.features, ethane.bonds, None)]
+    with pytest.raises(DataError, match=r"^collate needs a str SMILES in every molecule, molecule 2 has None$"):
+        model.collate(graphs)
+
+
+def test_a_ragged_features_matrix_raises_data_error_naming_its_position():
+    graphs = [featurize("C"), MolecularGraph([[6.0] * 9, [6.0] * 8], [(0, 1, SINGLE)], "CC")]
+    with pytest.raises(DataError, match=r"^collate features of molecule 1 must be a rectangular array: "):
+        model.collate(graphs)
+
+
 # ---- 1-WL indistinguishable pairs ------------------------------------------------
 
 

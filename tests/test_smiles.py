@@ -494,6 +494,11 @@ class TestFeaturize:
         # Bonds given as a list are stored as a tuple and compare equal.
         assert MolecularGraph(graph.features, list(graph.bonds), graph.source_smiles) == graph
 
+    def test_a_graph_is_not_equal_to_another_type(self):
+        # __eq__ returns NotImplemented, so Python falls back to identity.
+        graph = featurize("C")
+        assert graph != "C" and not graph == 1
+
     def test_graph_equality_compares_the_stored_features(self):
         graph = featurize("CC(=O)O")
         # A chirality code outside its enum compares without building records.

@@ -972,6 +972,7 @@ INDEX_OPS = {
     "cross_entropy": lambda ids: T.cross_entropy(T.constant(np.ones((3, 2))), ids),
 }
 BAD_INDICES = {"float": [0.9, 1.4, 0.2], "nan": [0.0, np.nan, 1.0], "bool": [True, False, True]}
+BAD_INDEX_DTYPES = {"float": "float64", "nan": "float64", "bool": "bool"}
 # Each op's index bound n above and the DataError message for an id outside [0, n).
 INDEX_RANGES = {
     "gather_rows": (3, "gather_rows indices must lie in [0, 3)"),
@@ -993,7 +994,9 @@ class TestIndexDtypes:
     @pytest.mark.parametrize("kind", BAD_INDICES)
     @pytest.mark.parametrize("op", INDEX_OPS)
     def test_non_integer_indices_rejected(self, op, kind):
-        with pytest.raises(DataError, match="integer dtype"):
+        name = INDEX_RANGES[op][1].split(" must ")[0]
+        expected = f"^{name} must be integers, got an array of dtype {BAD_INDEX_DTYPES[kind]}$"
+        with pytest.raises(DataError, match=expected):
             INDEX_OPS[op](BAD_INDICES[kind])
 
     @pytest.mark.parametrize("op", INDEX_OPS)
